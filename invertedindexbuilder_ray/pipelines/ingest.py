@@ -79,7 +79,9 @@ def ingest_delta(
     if n_delta:
         min_id = min(
             int(b["doc_id"].to_numpy(zero_copy_only=False).min())
-            for b in delta_m.iter_batches(batch_format="pyarrow")
+            for b in delta_m.select_columns(["doc_id"]).iter_batches(
+                batch_format="pyarrow"
+            )
             if b.num_rows
         )
         if min_id < base_max:

@@ -8,7 +8,11 @@ Modes:
 
 * ``conjunctive`` conformance mode replicates the reference loop
   bit-exactly, including the destructive-cursor miss quirk Q-C and the
-  stale inner variable (src/query.c:153-174).
+  stale inner variable (src/query.c:153-174).  The walk only records
+  each match's doc and per-list tf (the lead list and the lists it
+  would touch most blocks of are preloaded as plain Python lists); the
+  matches are then scored in one vectorized pass and ranked by the same
+  reference-heap replay as every other mode (:func:`_heap_topk`).
 * ``conjunctive`` correct mode is a textbook non-consuming leapfrog
   intersection.
 * ``disjunctive`` implements the *intended* union semantics (the
@@ -54,24 +58,24 @@ def _total_topk(docs, scores, k: int) -> list[tuple[int, float]]:
 
 def _heap_topk(docs: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Exact replay of the reference rank heap over (doc-ascending) scored
-    candidates, with a safe vectorized prefilter: after the fill phase the
-    heap root only ever rises, so any later doc whose score does not
-    exceed the post-fill root can never enter — skip those in bulk
-    (hot-term queries drop from ~10^5 Python iterations to ~k + survivors).
+    candidates, replaying only the candidates that can enter.
+
+    The heap root is the k-th largest score seen so far, so it never
+    falls: a candidate scoring ``<=`` the root at the start of its chunk
+    can never enter and is skipped in bulk; the rest replay through
+    ``_to_rank_heap`` unchanged, ties included.  Chunks double in length
+    (the root is re-read after k, 2k, 4k, ... candidates), so the replay
+    costs about k entrants per chunk over log2(n/k) chunks instead of one
+    Python call per candidate.
     """
     hp = _RefHeap()
     n = len(docs)
-    fill = min(k, n)
-    for i in range(fill):
+    pos = min(k, n)
+    for i in range(pos):
         _to_rank_heap(hp, int(docs[i]), float(scores[i]), k)
-    # chunked threshold refresh: a doc whose score <= the root at its chunk's
-    # start can never enter (the root only rises), so each chunk is filtered
-    # against the CURRENT root — adaptive pruning, exact replay for the rest
-    pos = fill
-    CHUNK = 8192
     while pos < n:
-        end = min(pos + CHUNK, n)
-        root = hp.elem[0][0] if hp.size >= k else float("-inf")
+        end = min(2 * pos, n)
+        root = hp.elem[0][0]  # the heap is full: pos >= k
         for i in (np.flatnonzero(scores[pos:end] > root) + pos):
             _to_rank_heap(hp, int(docs[i]), float(scores[i]), k)
         pos = end
@@ -206,17 +210,18 @@ class QueryEngine:
         return self._topk(docs, scores, k)
 
     def _conjunctive_conformance(self, lists: list[PostingCursor], k: int):
-        max_doc = self.reader.max_doc_id
-        # the lead list drives ~df[0] probes into every other list; when that
-        # touches most of a hot list's blocks, one bulk decode is cheaper
-        # than thousands of per-block decodes (semantics identical)
-        for c in lists[1:]:
+        r = self.reader
+        max_doc = r.max_doc_id
+        # the lead list is walked whole, and drives ~df[0] probes into every
+        # other list; when that touches most of a hot list's blocks, one bulk
+        # decode is cheaper than thousands of per-block decodes (semantics
+        # identical)
+        for c in lists:
             meta = getattr(c, "meta", None)
-            if meta is not None and lists[0].df >= meta.n_blocks:
+            if meta is not None and (c is lists[0] or lists[0].df >= meta.n_blocks):
                 c.preload()
-        hp = _RefHeap()
-        cd: list[int] = []
-        cs: list[float] = []
+        match_docs: list[int] = []
+        match_tfs: list[list[int]] = [[] for _ in lists]
         did = 0
         d = 0  # deliberately persists across iterations (reference stale local)
         while did < max_doc:
@@ -232,17 +237,20 @@ class QueryEngine:
             if not matched and d > did:
                 did = d
             else:
-                if did not in self._tomb_set:  # live-docs filter
-                    score = sum(self._bm25(c.curr_freq, c.df, did) for c in lists)
-                    if self.total_order_topk:
-                        cd.append(did)
-                        cs.append(score)
-                    else:
-                        _to_rank_heap(hp, did, score, k)
+                match_docs.append(did)
+                for tfs, c in zip(match_tfs, lists):
+                    tfs.append(c.curr_freq)
                 did += 1
-        if self.total_order_topk:
-            return _total_topk(cd, cs, k)
-        return _out_rank_heap(hp)
+        # score once, summing per-list terms left to right in df-ascending
+        # list order from 0.0: the same floats as _bm25 summed per match
+        docs = np.asarray(match_docs, dtype=np.int64)
+        dls = r.docs.dl[docs].astype(np.float64)
+        scores = np.zeros(len(docs))
+        for tfs, c in zip(match_tfs, lists):
+            scores = scores + bm25_components(
+                np.asarray(tfs, dtype=np.int64), dls, c.df, r.n_docs, r.d_avr
+            )
+        return self._topk(docs, scores, k)
 
     def _conjunctive_correct(self, lists: list[PostingCursor], k: int):
         # dense regime (all lists comparably sized): decode + vectorized
@@ -567,6 +575,8 @@ class QueryEngine:
         neg_query: str = "",
         msm: int = 1,
     ) -> list[dict]:
+        if mode not in (CONJUNCTIVE, DISJUNCTIVE, ANDNOT, CNF, MSM):
+            raise ValueError(f"unknown query mode {mode!r}: expected 0-4")
         if mode == MSM:
             ranked = self.min_should_match(self.parse_query(query), msm, k)
             return [

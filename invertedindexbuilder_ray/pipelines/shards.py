@@ -68,7 +68,18 @@ from __future__ import annotations
 
 from ..oracle import tokenize as oracle_tokenize
 from ..state.manifest import IndexManifest
-from .query import CNF, CONJUNCTIVE, _total_topk
+from .query import CNF, CONJUNCTIVE, DISJUNCTIVE, _total_topk
+
+# the modes a shard can serve; ANDNOT and MSM have no operand on this tier
+SHARD_MODES = (CONJUNCTIVE, DISJUNCTIVE, CNF)
+
+
+def _check_mode(mode: int) -> None:
+    if mode not in SHARD_MODES:
+        raise ValueError(
+            f"sharded search supports modes {SHARD_MODES} "
+            f"(AND, OR, CNF), got {mode!r}"
+        )
 
 
 def _make_searcher():
@@ -105,6 +116,7 @@ def _make_searcher():
             dfs: dict[str, int],
             algorithm: str | None = None,
         ) -> list[tuple[int, float]]:
+            _check_mode(mode)
             eng = self.engine
             flat = (
                 [t for g in terms for t in g] if mode == CNF else terms
@@ -182,11 +194,14 @@ class ShardedEngine:
         mode: int = CONJUNCTIVE,
         algorithm: str | None = None,
     ) -> list[tuple[int, float]]:
-        """``algorithm`` is a measurement/testing hook: None (default)
-        lets each shard pick block-max WAND for disjunctive queries when
-        its index carries block-max data; "exhaustive" forces the full
-        union scan (identical results, more scored blocks)."""
+        """``mode`` is AND, OR or CNF; any other mode raises ``ValueError``
+        before any RPC.  ``algorithm`` is a measurement/testing hook: None
+        (default) runs the exhaustive union for disjunctive queries;
+        "wand" makes each shard run block-max WAND when its index carries
+        block-max data (identical results, fewer scored blocks)."""
         import ray
+
+        _check_mode(mode)
 
         # CNF mode carries groups-of-terms; everything term-level below
         # (df prepass, overrides) works on the flattened set

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import glob
 import os
+from bisect import bisect_left
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -61,15 +62,19 @@ class PostingCursor:
 
     # -- internals ---------------------------------------------------------
     def preload(self) -> None:
-        """Bulk-decode the whole list once; iteration semantics unchanged.
+        """Bulk-decode the whole list once into plain Python lists;
+        iteration semantics unchanged.
 
-        Worth it when a caller will touch most blocks anyway (dense DAAT
-        against a hot list): one vectorized pass replaces thousands of
-        per-block decodes.  Only valid before any iteration has started.
+        Worth it when a caller will walk posting by posting through most
+        blocks anyway (dense DAAT against a hot list): one vectorized pass
+        replaces thousands of per-block decodes, and each later step is a
+        ``bisect`` plus a list index instead of a numpy call.  Only valid
+        before any iteration has started.
         """
         if self._preloaded or self._blk >= 0:
             return
-        self._docs, self._tfs = compress.decode_all_blocks(self.meta, 0)
+        docs, tfs = compress.decode_all_blocks(self.meta, 0)
+        self._docs, self._tfs = docs.tolist(), tfs.tolist()
         self._blk = 0
         self._i = 0
         self._preloaded = True
@@ -84,7 +89,7 @@ class PostingCursor:
         """Move the (block, i) position to the first remaining posting with
         doc >= k.  Returns False when exhausted."""
         if self._preloaded:
-            j = self._i + int(np.searchsorted(self._docs[self._i:], k))
+            j = bisect_left(self._docs, k, self._i)
             if j < len(self._docs):
                 self._i = j
                 return True
@@ -154,7 +159,8 @@ class PostingCursor:
     def decode_all_remaining(self) -> tuple[np.ndarray, np.ndarray]:
         """Bulk-decode from the current position to the end (vectorized OR path)."""
         if self._preloaded:
-            return self._docs[self._i:], self._tfs[self._i:]
+            return (np.asarray(self._docs[self._i:], dtype=np.int64),
+                    np.asarray(self._tfs[self._i:], dtype=np.int64))
         parts_d, parts_t = [], []
         if self._blk >= 0 and self._i < len(self._docs):
             parts_d.append(self._docs[self._i:])

@@ -122,3 +122,125 @@ def test_random_corpora_conformance(ray_session, tmp_path, seed):
         got_c = eng.and_not(terms, [], k)
         want_c = oracle.conjunctive_topk(ora, terms, k, mode="correct")
         assert [d for d, _ in got_c] == [d for d, _ in want_c], (seed, terms)
+
+
+# ---------------------------------------------------------------- top-k replay
+def _plain_heap(docs, scores, k):
+    """Reference: every candidate through the reference heap, one by one."""
+    hp = oracle._RefHeap()
+    for d, s in zip(docs, scores):
+        oracle._to_rank_heap(hp, int(d), float(s), k)
+    return oracle._out_rank_heap(hp)
+
+
+def test_heap_topk_replay_fuzz():
+    """The pruned replay equals the plain per-candidate replay exactly,
+    tie order included: random, tie-heavy, negative and rising scores,
+    n = 0, n < k and k = 1."""
+    from invertedindexbuilder_ray.pipelines.query import _heap_topk
+
+    rng = np.random.default_rng(5)
+    cases = [(0, 5), (3, 10), (1, 1), (50, 1), (1000, 1), (2000, 10)]
+    cases += [(int(rng.integers(0, 3000)), int(rng.integers(1, 40))) for _ in range(200)]
+    for case, (n, k) in enumerate(cases):
+        docs = np.sort(rng.choice(10 * n + 1, size=n, replace=False)).astype(np.int64)
+        kind = case % 4
+        if kind == 0:
+            scores = rng.normal(size=n)
+        elif kind == 1:  # tie-heavy: a few distinct values
+            scores = rng.choice([-1.5, 0.0, 0.25, 2.0], size=n)
+        elif kind == 2:  # all negative
+            scores = -rng.random(n) * 5
+        else:  # rising: every candidate enters
+            scores = np.cumsum(rng.random(n))
+        assert _heap_topk(docs, scores, k) == _plain_heap(docs, scores, k), (n, k, kind)
+
+
+# ------------------------------------------------------- multi-block AND fuzz
+def _skewed_rows(seed: int, n: int) -> list[dict]:
+    """Zipf-like vocabulary: the head terms' lists span many 128-posting
+    blocks, the tail terms' lists one."""
+    rng = np.random.default_rng(seed)
+    vocab = np.array([f"w{i}" for i in range(400)])
+    p = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    p /= p.sum()
+    return [
+        {"url": f"http://s{i}.com/{i}",
+         "text": " ".join(rng.choice(vocab, size=int(rng.integers(3, 30)), p=p)) + "."}
+        for i in range(n)
+    ]
+
+
+@pytest.fixture(scope="module")
+def skewed_index(ray_session, tmp_path_factory):
+    rows = _skewed_rows(7, 2000)
+    root = tmp_path_factory.mktemp("skewed")
+    src = root / "src"
+    src.mkdir()
+    pq.write_table(_rows_to_table(rows), src / "a.parquet", row_group_size=500)
+    out = str(root / "idx")
+    build_index(load_webpages(str(src)), out, num_partitions=2)
+    return out, oracle.build_index(rows)
+
+
+def _and_queries(ora, seed: int, n: int) -> list[tuple[list[str], int]]:
+    """Rare-lead x hot, hot x hot and 3-4-term ANDs, k from 1 to 39."""
+    by_df = sorted(ora.postings, key=lambda t: len(ora.postings[t]))
+    hot = [t for t in by_df if len(ora.postings[t]) > 4 * 128]
+    rare = [t for t in by_df if 2 <= len(ora.postings[t]) < 16]
+    assert len(hot) >= 3 and rare
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        shape = i % 3
+        if shape == 0:
+            terms = [rng.choice(rare), rng.choice(hot)]
+        elif shape == 1:
+            terms = rng.sample(hot, 2)
+        else:
+            terms = [rng.choice(hot if rng.random() < 0.6 else by_df)
+                     for _ in range(rng.randint(3, 4))]
+        out.append((terms, rng.randint(1, 39)))
+    return out
+
+
+def _assert_same(got, want, ctx):
+    assert [d for d, _ in got] == [d for d, _ in want], ctx
+    np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=1e-9)
+
+
+def _all_matches(ora, terms):
+    """Every conformance-mode match of ``terms``, in walk (doc) order."""
+    return sorted(oracle.conjunctive_topk(ora, terms, ora.max_doc_id + 1))
+
+
+def test_multiblock_conformance_and_fuzz(skewed_index):
+    out, ora = skewed_index
+    r = IndexReader(out)
+    assert max(r.open_list(t).meta.n_blocks for t in ora.postings) >= 8
+    eng = QueryEngine(out)
+    tot = QueryEngine(out, total_order_topk=True)
+    for terms, k in _and_queries(ora, 1, 90):
+        _assert_same(eng.conjunctive(terms, k), oracle.conjunctive_topk(ora, terms, k),
+                     (terms, k))
+        want = sorted(_all_matches(ora, terms), key=lambda m: (-m[1], m[0]))[:k]
+        _assert_same(tot.conjunctive(terms, k), want, (terms, k, "total"))
+
+
+def test_multiblock_conformance_and_tombstones(skewed_index, tmp_path):
+    """Tombstoned matches are dropped from the walk's candidates; the
+    reference heap replays the live ones in doc order."""
+    import shutil
+
+    from invertedindexbuilder_ray.pipelines.merge import mark_deleted
+
+    src, ora = skewed_index
+    out = str(tmp_path / "idx")
+    shutil.copytree(src, out)
+    dead = set(range(0, ora.max_doc_id, 4))
+    mark_deleted(out, dead)
+    eng = QueryEngine(out)
+    for terms, k in _and_queries(ora, 2, 30):
+        live = [m for m in _all_matches(ora, terms) if m[0] not in dead]
+        _assert_same(eng.conjunctive(terms, k),
+                     _plain_heap([d for d, _ in live], [s for _, s in live], k), (terms, k))

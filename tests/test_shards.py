@@ -315,3 +315,28 @@ def test_sharded_cnf_matches_monolithic(sharded_setup):
         )
         got = sharded.search(q, 10, CNF)
         assert got == want, q
+
+
+def test_unsupported_modes_raise(sharded_setup):
+    """An unknown mode, or one the sharded tier cannot serve (ANDNOT,
+    MSM), raises instead of silently running OR; `ShardedEngine`
+    raises before any RPC."""
+    import ray
+
+    from invertedindexbuilder_ray.pipelines.query import ANDNOT, MSM
+
+    shard_dirs, full = sharded_setup
+    mono = QueryEngine(full)
+    for mode in (-1, 5, 99):
+        with pytest.raises(ValueError, match="mode"):
+            mono.search("data join", 10, mode)
+    sharded = ShardedEngine(shard_dirs)
+    for mode in (ANDNOT, MSM, 5):
+        with pytest.raises(ValueError, match="mode"):
+            sharded.search_terms(["data", "join"], 10, mode)
+        with pytest.raises(ValueError, match="mode"):
+            sharded.search("data join", 10, mode)
+        with pytest.raises(ValueError, match="mode"):
+            ray.get(sharded.actors[0].search.remote(
+                ["data"], 10, mode, sharded.n_docs, sharded.d_avr, {}))
+    assert sharded._df_cache == {}  # the df prepass never ran
