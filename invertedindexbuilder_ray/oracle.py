@@ -204,7 +204,10 @@ class _RefHeap:
 
 
 def _to_rank_heap(hp: _RefHeap, doc_id: int, score: float, limit: int) -> None:
-    # strict > replacement: ties keep the incumbent (src/query.c:92-105, Q-T)
+    # strict > replacement: ties keep the incumbent (src/query.c:92-105, Q-T);
+    # a heap of limit <= 0 keeps nothing (k = 0 ranks nothing)
+    if limit <= 0:
+        return
     if hp.size < limit:
         hp.insert(score, doc_id)
     elif hp.elem[0][0] < score:

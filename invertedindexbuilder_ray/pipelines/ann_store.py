@@ -10,7 +10,7 @@ signature checkpoint (dedup.py), and serves queries from the artifact:
 * ``ann_build(sf_dir, kind=...)`` -> artifact dir containing
 
   - ``meta.json``      — kind, derived constants (bits / stride / ap),
-                         n, dim, input fingerprint;
+                         n, dim, max_vec_id;
   - ``codebook.npz``   — IVF: cids, cents, sup_pos (members re-derived
                          by one O(sqrt N * N^(1/4)) matmul at open);
                          LSH planes are pure ``_planes(dim, bits)`` —
@@ -180,9 +180,25 @@ def ann_build(
     ds.map_batches(assign, batch_format="pyarrow").write_parquet(
         os.path.join(d, "assign"), partition_cols=["bshard"]
     )
+    meta["max_vec_id"] = _stored_max_vec_id(d)
     mf.atomic_write_json(os.path.join(d, "meta.json"), meta)
     mf.mark_complete(d, {"fingerprint": fp, **meta})
     return d
+
+
+def _stored_max_vec_id(d: str) -> int:
+    """Largest vec_id under the artifact's ``assign/`` (-1 when empty)."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    path = os.path.join(d, "assign")
+    if not os.path.isdir(path):
+        return -1
+    ids = pads.dataset(path, format="parquet", partitioning="hive").to_table(
+        columns=["vec_id"]
+    )["vec_id"]
+    top = pc.max(ids).as_py()
+    return -1 if top is None else int(top)
 
 
 def _open_codebook(d: str, meta: dict) -> dict:
@@ -230,9 +246,36 @@ def ann_extend(
     updated with the new count and a chained fingerprint.  Queries served
     afterwards see old + new vectors; the quantizer is never re-derived
     (the standard IVF "add" contract — rebuild via ann_build when list
-    skew warrants it).  Requires vec_ids disjoint from the artifact's."""
+    skew warrants it).
+
+    vec_ids are append-only: every new id must be distinct and greater
+    than the artifact's ``max_vec_id`` (recorded in ``meta.json``;
+    derived once from ``assign/`` for artifacts written without it).
+    Anything else raises ``ValueError`` before the artifact is touched,
+    since an overlapping id would be served twice."""
     with open(os.path.join(artifact_dir, "meta.json")) as f:
         meta = json.load(f)
+    old_max = (
+        int(meta["max_vec_id"]) if "max_vec_id" in meta
+        else _stored_max_vec_id(artifact_dir)
+    )
+    ids = [
+        np.asarray(b["vec_id"], dtype=np.int64)
+        for b in new_vectors.select_columns(["vec_id"]).iter_batches(
+            batch_format="numpy"
+        )
+    ]
+    ids = np.concatenate(ids) if ids else np.empty(0, np.int64)
+    n_new = len(ids)
+    if n_new:
+        if len(np.unique(ids)) != n_new:
+            raise ValueError("ann_extend: the new vectors repeat a vec_id")
+        if int(ids.min()) <= old_max:
+            raise ValueError(
+                f"ann_extend: new vec_id {int(ids.min())} overlaps the "
+                f"artifact's ids (max_vec_id {old_max}); new ids must exceed it"
+            )
+    meta["max_vec_id"] = int(ids.max()) if n_new else old_max
     bucket_fn = _artifact_bucket_fn(artifact_dir, meta)
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -256,7 +299,6 @@ def ann_extend(
             }
         )
 
-    n_new = new_vectors.count()
     with open(mf.marker_path(artifact_dir)) as f:
         marker = json.load(f)
     # invalidate the completion marker for the duration of the mutation: a
@@ -269,6 +311,7 @@ def ann_extend(
     )
     meta["n"] = int(meta["n"]) + int(n_new)
     marker["n"] = meta["n"]
+    marker["max_vec_id"] = meta["max_vec_id"]
     marker["fingerprint"] = f"{marker.get('fingerprint', '')}+extend:{n_new}"
     mf.atomic_write_json(os.path.join(artifact_dir, "meta.json"), meta)
     mf.atomic_write_json(mf.marker_path(artifact_dir), marker)

@@ -43,6 +43,12 @@ CNF = 3     # extension: conjunction of disjunction groups "(a b); (c d)"
 MSM = 4     # extension: minimum-should-match (>= m of n terms; m via msm col)
 
 
+def check_k(k: int) -> None:
+    """One rule for every tier: k = 0 ranks nothing, k < 0 is an error."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k!r}")
+
+
 def _total_topk(docs, scores, k: int) -> list[tuple[int, float]]:
     """EXACT top-k under the total order (score desc, doc_id asc).
 
@@ -50,6 +56,7 @@ def _total_topk(docs, scores, k: int) -> list[tuple[int, float]]:
     depends on the heap array layout, i.e. the full insertion history —
     this selection is a pure function of the candidate (doc, score) SET,
     so it decomposes over document shards (pipelines/shards.py)."""
+    check_k(k)
     docs = np.asarray(docs, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     order = np.lexsort((docs, -scores))[:k]
@@ -68,6 +75,9 @@ def _heap_topk(docs: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, 
     costs about k entrants per chunk over log2(n/k) chunks instead of one
     Python call per candidate.
     """
+    check_k(k)
+    if k == 0:
+        return []
     hp = _RefHeap()
     n = len(docs)
     pos = min(k, n)
@@ -494,8 +504,9 @@ class QueryEngine:
         the sharded tier's disjunctive queries skip blocks too."""
         import heapq
 
+        check_k(k)
         lists = self._open_lists(terms)
-        if not lists:
+        if not lists or k == 0:
             return []
         if len(lists) == 1:
             # single list: WAND degenerates to scoring every posting —
@@ -577,6 +588,7 @@ class QueryEngine:
     ) -> list[dict]:
         if mode not in (CONJUNCTIVE, DISJUNCTIVE, ANDNOT, CNF, MSM):
             raise ValueError(f"unknown query mode {mode!r}: expected 0-4")
+        check_k(k)
         if mode == MSM:
             ranked = self.min_should_match(self.parse_query(query), msm, k)
             return [

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from ..oracle import tokenize as oracle_tokenize
 from ..state.manifest import IndexManifest
-from .query import CNF, CONJUNCTIVE, DISJUNCTIVE, _total_topk
+from .query import CNF, CONJUNCTIVE, DISJUNCTIVE, _total_topk, check_k
 
 # the modes a shard can serve; ANDNOT and MSM have no operand on this tier
 SHARD_MODES = (CONJUNCTIVE, DISJUNCTIVE, CNF)
@@ -99,12 +99,8 @@ def _make_searcher():
             self.offset = doc_id_offset
 
         def term_dfs(self, terms: list[str]) -> dict[str, int]:
-            out = {}
-            for t in set(terms):
-                c = self.engine.reader.open_list(t)
-                if c is not None:
-                    out[t] = int(c.df)
-            return out
+            r = self.engine.reader
+            return {t: df for t in set(terms) if (df := r.df(t))}
 
         def search(
             self,
@@ -118,17 +114,13 @@ def _make_searcher():
         ) -> list[tuple[int, float]]:
             _check_mode(mode)
             eng = self.engine
-            flat = (
-                [t for g in terms for t in g] if mode == CNF else terms
-            )
-            local = self.term_dfs(flat)
+            r = eng.reader
             if mode == CONJUNCTIVE and any(
-                t in dfs and t not in local for t in terms
+                t in dfs and not r.df(t) for t in terms
             ):
                 # globally-present term absent from this shard: no local doc
                 # can satisfy the monolithic AND
                 return []
-            r = eng.reader
             saved = (r.n_docs, r.d_avr, eng.df_override)
             r.n_docs, r.d_avr = n_docs, d_avr
             eng.df_override = dfs
@@ -194,14 +186,16 @@ class ShardedEngine:
         mode: int = CONJUNCTIVE,
         algorithm: str | None = None,
     ) -> list[tuple[int, float]]:
-        """``mode`` is AND, OR or CNF; any other mode raises ``ValueError``
-        before any RPC.  ``algorithm`` is a measurement/testing hook: None
-        (default) runs the exhaustive union for disjunctive queries;
-        "wand" makes each shard run block-max WAND when its index carries
-        block-max data (identical results, fewer scored blocks)."""
+        """``mode`` is AND, OR or CNF; any other mode, and k < 0, raise
+        ``ValueError`` before any RPC; k = 0 returns [].  ``algorithm``
+        is a measurement/testing hook: None (default) runs the exhaustive
+        union for disjunctive queries; "wand" makes each shard run
+        block-max WAND when its index carries block-max data (identical
+        results, fewer scored blocks)."""
         import ray
 
         _check_mode(mode)
+        check_k(k)
 
         # CNF mode carries groups-of-terms; everything term-level below
         # (df prepass, overrides) works on the flattened set

@@ -18,6 +18,10 @@ reference behavior, SURVEY.md §1.4); the first delta is the absolute
 first doc_id.  With ``block_max=False`` the bytes are exactly the
 reference's (useful for byte-level conformance checks).
 
+Opening a list (:func:`open_list`) reads only the three header varints;
+``B`` and the payload offset follow from them.  The skip table is
+decoded on first seek, and a bulk decode from block 0 never reads it.
+
 Encoding is batched: callers encode a whole partition's postings with
 three vectorized VarByte calls (deltas, tfs, headers) and per-term
 assembly is slicing, so the per-term Python overhead is small.  This
@@ -304,21 +308,80 @@ def _encode_single_block_fast(
     return blob.tobytes(), term_off, term_len, bmax
 
 
-@dataclass
-class DecodedList:
-    """Parsed metadata of one term's compressed list (blocks decoded lazily)."""
+# decoded on first access (DecodedList.parse_skip_table)
+_SKIP_TABLE = ("last_docs", "block_nbytes", "block_starts", "block_max")
 
-    df: int
+
+class DecodedList:
+    """One term's compressed list, opened from its three header varints.
+
+    ``df``, ``n_blocks`` (``ceil(df / 128)``, a format invariant) and
+    ``payload_start`` (the byte offset of block 0) come from the header
+    alone, so opening a list costs a few microseconds whatever its
+    length.  The skip table is decoded on first access to one of its
+    fields and then read as plain attributes: a cursor that bulk-decodes
+    from block 0 never parses it, a cursor that seeks parses it once.
+    ``buf`` holds exactly the list's bytes: its last block ends at
+    ``len(buf)``.
+    """
+
+    __slots__ = ("buf", "df", "n_blocks", "payload_start", "has_block_max",
+                 "_header_nbytes", "_ldoc_nbytes", "_bsize_nbytes") + _SKIP_TABLE
+
     last_docs: np.ndarray       # absolute last doc_id per block
     block_nbytes: np.ndarray
     block_starts: np.ndarray    # byte offset of each block within buf
-    block_counts: np.ndarray    # postings per block
     block_max: np.ndarray | None
-    buf: np.ndarray             # the full list bytes (uint8)
+
+    def __init__(self, buf: np.ndarray, df: int, header_nbytes: int,
+                 ldoc_nbytes: int, bsize_nbytes: int, has_block_max: bool):
+        self.buf = buf
+        self.df = df
+        self.n_blocks = -(-df // BLOCK_SIZE)
+        self.has_block_max = has_block_max
+        self._header_nbytes = header_nbytes
+        self._ldoc_nbytes = ldoc_nbytes
+        self._bsize_nbytes = bsize_nbytes
+        self.payload_start = (header_nbytes + ldoc_nbytes + bsize_nbytes
+                              + (4 * self.n_blocks if has_block_max else 0))
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: a skip-table field before the parse
+        if name not in _SKIP_TABLE:
+            raise AttributeError(name)
+        self.parse_skip_table()
+        return getattr(self, name)
+
+    def parse_skip_table(self) -> None:
+        """Decode the skip table into its fields (``_SKIP_TABLE``)."""
+        p = self._header_nbytes
+        last_docs, _ = varbyte.decode(self.buf[p : p + self._ldoc_nbytes])
+        p += self._ldoc_nbytes
+        block_nbytes, _ = varbyte.decode(self.buf[p : p + self._bsize_nbytes])
+        p += self._bsize_nbytes
+        nb = self.n_blocks
+        if len(last_docs) != nb or len(block_nbytes) != nb:
+            raise ValueError(
+                f"skip table holds {len(last_docs)}/{len(block_nbytes)} "
+                f"entries, df={self.df} implies {nb} blocks"
+            )
+        self.block_max = None
+        if self.has_block_max:
+            self.block_max = np.frombuffer(self.buf[p : p + 4 * nb].tobytes(), dtype=np.float32)
+        self.block_starts = np.empty(nb, dtype=np.int64)
+        if nb:
+            self.block_starts[0] = self.payload_start
+            self.block_starts[1:] = self.payload_start + np.cumsum(block_nbytes)[:-1]
+        self.last_docs = last_docs
+        self.block_nbytes = block_nbytes
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.last_docs)
+    def block_counts(self) -> np.ndarray:
+        """Postings per block: 128 each, the remainder in the last."""
+        counts = np.full(self.n_blocks, BLOCK_SIZE, dtype=np.int64)
+        if self.n_blocks:
+            counts[-1] = self.df - BLOCK_SIZE * (self.n_blocks - 1)
+        return counts
 
     def decode_block(self, b: int, prev_last_doc: int) -> tuple[np.ndarray, np.ndarray]:
         """Decode block ``b`` -> (absolute doc_ids, tfs).
@@ -326,7 +389,7 @@ class DecodedList:
         ``prev_last_doc`` is the last doc_id of block ``b-1`` (0 for the
         first block): deltas carry across blocks.
         """
-        m = int(self.block_counts[b])
+        m = min(BLOCK_SIZE, self.df - BLOCK_SIZE * b)
         start = int(self.block_starts[b])
         chunk = self.buf[start : start + int(self.block_nbytes[b])]
         deltas, used = varbyte.decode(chunk, count=m)
@@ -335,37 +398,27 @@ class DecodedList:
         return docs, tfs
 
 
+# three int64 varints take at most 3 x 10 bytes
+_HEADER_MAX = 30
+
+
 def open_list(buf: np.ndarray, *, block_max: bool = True) -> DecodedList:
-    """Parse one term's list metadata from its byte slice."""
+    """Open one term's list from its byte slice, reading only the header
+    (``df``, ``ldoc_table_nbytes``, ``bsize_table_nbytes``); the skip
+    table is decoded on first use (see :class:`DecodedList`)."""
     buf = np.asarray(buf, dtype=np.uint8)
-    head, used = varbyte.decode(buf, count=3)
-    df, ldoc_nbytes, bsize_nbytes = (int(x) for x in head)
-    p = used
-    last_docs, _ = varbyte.decode(buf[p : p + ldoc_nbytes])
-    p += ldoc_nbytes
-    block_nbytes, _ = varbyte.decode(buf[p : p + bsize_nbytes])
-    p += bsize_nbytes
-    n_blocks = len(last_docs)
-    bmax = None
-    if block_max:
-        bmax = np.frombuffer(buf[p : p + 4 * n_blocks].tobytes(), dtype=np.float32)
-        p += 4 * n_blocks
-    block_starts = np.zeros(n_blocks, dtype=np.int64)
-    if n_blocks:
-        block_starts[0] = p
-        block_starts[1:] = p + np.cumsum(block_nbytes)[:-1]
-    block_counts = np.full(n_blocks, BLOCK_SIZE, dtype=np.int64)
-    if n_blocks:
-        block_counts[-1] = df - BLOCK_SIZE * (n_blocks - 1)
-    return DecodedList(
-        df=df,
-        last_docs=last_docs,
-        block_nbytes=block_nbytes,
-        block_starts=block_starts,
-        block_counts=block_counts,
-        block_max=bmax,
-        buf=buf,
-    )
+    head: list[int] = []
+    v = shift = 0
+    for i, byte in enumerate(bytes(buf[:_HEADER_MAX])):
+        v |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            shift += 7
+            continue
+        head.append(v)
+        if len(head) == 3:
+            return DecodedList(buf, head[0], i + 1, head[1], head[2], block_max)
+        v = shift = 0
+    raise ValueError(f"list header truncated: {len(head)} of 3 varints in {len(buf)} bytes")
 
 
 def decode_full(buf: np.ndarray, *, block_max: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -381,18 +434,24 @@ def decode_full(buf: np.ndarray, *, block_max: bool = True) -> tuple[np.ndarray,
 
 
 def decode_all_blocks(dl: "DecodedList", from_block: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Decode blocks ``from_block..`` to the end of the list in one pass.
+
+    From block 0 this reads neither skip table: the payload runs from
+    ``payload_start`` to the end of ``buf`` and the block counts follow
+    from ``df``."""
     if dl.n_blocks <= from_block:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    start = int(dl.block_starts[from_block])
-    end = int(dl.block_starts[-1] + dl.block_nbytes[-1])
+    if from_block:
+        start = int(dl.block_starts[from_block])
+        prev = int(dl.last_docs[from_block - 1])
+    else:
+        start, prev = dl.payload_start, 0
     counts = dl.block_counts[from_block:]
-    total = int(counts.sum())
-    vals, _ = varbyte.decode(dl.buf[start:end], count=2 * total)
+    vals, _ = varbyte.decode(dl.buf[start:], count=2 * (dl.df - BLOCK_SIZE * from_block))
     # interleaving: [deltas(m_b) tfs(m_b)] per block -> mask out the tf runs
     seg = np.repeat(np.arange(2 * len(counts), dtype=np.int64), np.repeat(counts, 2))
     is_delta = (seg % 2) == 0
     deltas = vals[is_delta]
     tfs = vals[~is_delta]
-    prev = int(dl.last_docs[from_block - 1]) if from_block > 0 else 0
     docs = np.cumsum(deltas) + prev
     return docs, tfs

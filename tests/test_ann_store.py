@@ -199,3 +199,55 @@ def test_incomplete_artifact_rejected(ray_session, ann_root):
     os.remove(os.path.join(d, "_SUCCESS"))
     with pytest.raises(RuntimeError, match="incomplete"):
         ann_store.ann_query_artifact(d, qids, qmat_n)
+
+
+def test_ann_extend_rejects_overlapping_ids(ray_session, ann_root):
+    """vec_ids are append-only: a new id at or below the artifact's
+    max_vec_id, or one repeated within the delta, raises before the
+    artifact is touched (such ids used to be served twice).  An artifact
+    written without the recorded max derives it from ``assign/``."""
+    import json
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from invertedindexbuilder_ray.pipelines import ann_store, similarity
+
+    d = ann_store.ann_build(SF, kind="lsh")
+    src = similarity._embeddings(SF).to_pandas()
+    top = int(src["vec_id"].max())
+    meta_path = os.path.join(d, "meta.json")
+    emb = list(src.loc[0, "embedding"])
+
+    def delta(ids):
+        return rd.from_arrow(pa.table({
+            "vec_id": pa.array(ids, pa.int64()),
+            "embedding": pa.array([emb] * len(ids), pa.list_(pa.float32())),
+        }))
+
+    def tree():
+        return sorted(
+            (os.path.relpath(os.path.join(p, f), d), os.path.getsize(os.path.join(p, f)))
+            for p, _, fs in os.walk(d) for f in fs
+        )
+
+    before = tree()
+    for ids, msg in (([top], "overlaps"), ([0, top + 9], "overlaps"),
+                     ([top + 1, top + 1], "repeat")):
+        with pytest.raises(ValueError, match=msg):
+            ann_store.ann_extend(d, delta(ids))
+        assert tree() == before  # marker kept, nothing appended
+    with open(meta_path) as f:
+        meta = json.load(f)
+    assert meta["max_vec_id"] == top
+    del meta["max_vec_id"]
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError, match="overlaps"):
+        ann_store.ann_extend(d, delta([top]))
+    rep = ann_store.ann_extend(d, delta([top + 1, top + 5]))
+    assert rep["n_added"] == 2
+    with open(meta_path) as f:
+        assert json.load(f)["max_vec_id"] == top + 5
+    with pytest.raises(ValueError, match="overlaps"):
+        ann_store.ann_extend(d, delta([top + 3]))

@@ -136,12 +136,13 @@ def _plain_heap(docs, scores, k):
 def test_heap_topk_replay_fuzz():
     """The pruned replay equals the plain per-candidate replay exactly,
     tie order included: random, tie-heavy, negative and rising scores,
-    n = 0, n < k and k = 1."""
+    n = 0, n < k, k = 1 and k = 0."""
     from invertedindexbuilder_ray.pipelines.query import _heap_topk
 
     rng = np.random.default_rng(5)
     cases = [(0, 5), (3, 10), (1, 1), (50, 1), (1000, 1), (2000, 10)]
     cases += [(int(rng.integers(0, 3000)), int(rng.integers(1, 40))) for _ in range(200)]
+    cases += [(0, 0), (40, 0), (2000, 0), (7, 0)]  # k = 0: one per score kind
     for case, (n, k) in enumerate(cases):
         docs = np.sort(rng.choice(10 * n + 1, size=n, replace=False)).astype(np.int64)
         kind = case % 4

@@ -58,3 +58,12 @@ def test_q8_flag_through_query_engine(ray_session, tmp_path):
     # under Q8 a query for T_A scores T_B's (doc 1) list; without it, doc 0
     assert [d for d, _ in plain.conjunctive([T_A], 5)] == [0]
     assert [d for d, _ in q8.conjunctive([T_A], 5)] == [1]
+
+
+def test_q8_reader_df_truncates_like_open_list(ray_session, tmp_path):
+    out = _index(tmp_path, ray_session)
+    for trunc in (False, True):
+        r = IndexReader(out, truncate_lexicon_14=trunc)
+        for q in (T_A, T_B, T_14, T_14 + "zzzz", "plain", "absent"):
+            c = r.open_list(q)
+            assert r.df(q) == (0 if c is None else c.df), (q, trunc)

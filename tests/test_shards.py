@@ -340,3 +340,38 @@ def test_unsupported_modes_raise(sharded_setup):
             ray.get(sharded.actors[0].search.remote(
                 ["data"], 10, mode, sharded.n_docs, sharded.d_avr, {}))
     assert sharded._df_cache == {}  # the df prepass never ran
+
+
+def test_k_zero_returns_empty_k_negative_raises(sharded_setup):
+    """k = 0 ranks nothing in every mode under both selection semantics
+    (the reference heap used to raise IndexError once it had a candidate);
+    k < 0 raises, on the sharded tier before any RPC."""
+    from invertedindexbuilder_ray.pipelines.query import ANDNOT, CNF, MSM
+
+    shard_dirs, full = sharded_setup
+    calls = [
+        ("data join", CONJUNCTIVE, {}),
+        ("the data", CONJUNCTIVE, {}),  # hot x hot: leapfrog-free dense AND
+        ("data join", DISJUNCTIVE, {}),
+        ("data join", DISJUNCTIVE, {"algorithm": "wand"}),
+        ("data", ANDNOT, {"neg_query": "join"}),
+        ("the; data of", CNF, {}),
+        ("the data join", MSM, {"msm": 2}),
+    ]
+    for kw in ({}, {"conformance": False}, {"total_order_topk": True},
+               {"conformance": False, "total_order_topk": True}):
+        eng = QueryEngine(full, **kw)
+        for q, mode, extra in calls:
+            assert eng.search(q, 1, mode, **extra), (q, mode, kw)
+            assert eng.search(q, 0, mode, **extra) == [], (q, mode, kw)
+            with pytest.raises(ValueError, match="k must be"):
+                eng.search(q, -1, mode, **extra)
+        with pytest.raises(ValueError, match="k must be"):  # the selection itself
+            eng.disjunctive(["data", "join"], -2)
+    sharded = ShardedEngine(shard_dirs)
+    for mode in (CONJUNCTIVE, DISJUNCTIVE, CNF):
+        with pytest.raises(ValueError, match="k must be"):
+            sharded.search("data join", -3, mode)
+    assert sharded._df_cache == {}  # the df prepass never ran
+    for mode in (CONJUNCTIVE, DISJUNCTIVE, CNF):
+        assert sharded.search("data join", 0, mode) == []
