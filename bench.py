@@ -138,11 +138,11 @@ def run_bench() -> dict:
     # negative IDF), mid ranks, tail, missing terms, mixed AND/OR.
     qset = bench_queries()
 
-    def measure(engine, algorithm=None):
+    def measure(engine):
         lat = []
         for q in qset * 4:
             s = time.perf_counter()
-            engine.search(q["terms"], q["k"], q["mode"], algorithm=algorithm)
+            engine.search(q["terms"], q["k"], q["mode"])
             lat.append(time.perf_counter() - s)
         lat.sort()
         return lat
@@ -152,8 +152,8 @@ def run_bench() -> dict:
     timings["query_batch"] = round(time.perf_counter() - t0, 3)
     p50 = lat[len(lat) // 2]
     p99 = lat[min(int(len(lat) * 0.99), len(lat) - 1)]
-    # production path: correct-mode AND + block-max WAND OR
-    lat_c = measure(QueryEngine(index_dir, conformance=False), algorithm="wand")
+    # correct-mode engine: dense-intersection AND + exhaustive union OR
+    lat_c = measure(QueryEngine(index_dir, conformance=False))
     p50_c = lat_c[len(lat_c) // 2]
     p99_c = lat_c[min(int(len(lat_c) * 0.99), len(lat_c) - 1)]
 

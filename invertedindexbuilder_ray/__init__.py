@@ -10,7 +10,7 @@ expressed Ray-Data-first:
                  -> groupby(hash(term) % P) . map_groups(compress, actor pool)
                  -> per-partition posting blobs + lexicon + doc table + manifest
 
-Query evaluation (conjunctive / disjunctive / block-max WAND BM25 top-k)
+Query evaluation (conjunctive / disjunctive / AND-NOT / CNF / MSM BM25 top-k)
 runs either locally or as an actor-pool ``map_batches`` over a query table.
 """
 

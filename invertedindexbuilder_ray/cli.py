@@ -4,7 +4,7 @@
     python -m invertedindexbuilder_ray build --input DIR --out IDX \
         [--format webpages|documents] [--partitions P] [--prefix-fraction 0.3]
     python -m invertedindexbuilder_ray query --index IDX --terms "a b c" \
-        [--k 10] [--mode and|or] [--algorithm wand] [--conformance]
+        [--k 10] [--mode and|or|cnf] [--conformance|--correct]
     python -m invertedindexbuilder_ray repl --index IDX
 """
 
@@ -227,17 +227,14 @@ def cmd_query(args) -> int:
             conformance=args.conformance,
             offset_doc_ids=not args.global_ids,
         )
-        # --algorithm wand opts each shard into block-max WAND with
-        # globally rescaled bounds (identical results; see shards.py for
-        # why the measured default is the exhaustive union)
-        ranked = eng.search(args.terms, args.k, mode, args.algorithm)
+        ranked = eng.search(args.terms, args.k, mode)
         for rank, (doc, score) in enumerate(ranked, 1):
             print(f"[{rank}]\tdoc:{doc}\nBM25: \t{score:.6f}\n")
         if not ranked:
             print("No result found.")
         return 0
     eng = QueryEngine(args.index, conformance=args.conformance)
-    hits = eng.search(args.terms, args.k, mode, algorithm=args.algorithm)
+    hits = eng.search(args.terms, args.k, mode)
     for h in hits:
         print(f"[{h['rank']}]\t{h['url']}\nBM25: \t{h['score']:.6f}\n")
     if not hits:
@@ -382,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     q.add_argument("--k", type=int, default=10)
     q.add_argument("--mode", choices=["and", "or", "cnf"], default="and",
                    help="cnf: ';'-separated OR groups, e.g. 'data join; merge'")
-    q.add_argument("--algorithm", choices=["wand"], default=None)
     q.add_argument("--conformance", action="store_true", default=True)
     q.add_argument("--correct", dest="conformance", action="store_false")
     q.set_defaults(fn=cmd_query)

@@ -76,7 +76,6 @@ def _partition_posting_rows(
     segs = lex["seg"].to_numpy()
     offs = lex["offset"].to_numpy()
     nbs = lex["nbytes"].to_numpy()
-    ms = lex["max_score"].to_numpy()
     # lexicon rows are written in (term, seg) build order; decode in order
     out_terms: list[str] = []
     out_docs: list[np.ndarray] = []
@@ -88,7 +87,6 @@ def _partition_posting_rows(
             np.asarray(blob[offs[i] : offs[i] + nbs[i]]),
             block_max=man["block_max"],
             max_doc_id=man["max_doc_id"],
-            max_score=float(ms[i]),
             term=terms[i],
         )
         docs, tfs = cur.decode_all_remaining()

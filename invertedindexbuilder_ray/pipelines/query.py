@@ -13,14 +13,13 @@ Modes:
   would touch most blocks of are preloaded as plain Python lists); the
   matches are then scored in one vectorized pass and ranked by the same
   reference-heap replay as every other mode (:func:`_heap_topk`).
-* ``conjunctive`` correct mode is a textbook non-consuming leapfrog
-  intersection.
+* ``conjunctive`` correct mode, a one-list AND in either mode, and
+  ``and_not`` share one set-at-a-time intersection (:meth:`_dense_and`):
+  bulk-decode every list, probe the lead list's docs into each other list
+  with ``searchsorted``, score with ``bm25_components``.
 * ``disjunctive`` implements the *intended* union semantics (the
   reference's multi-term OR ranks on uninitialized memory, defect D6 —
   excluded from conformance per SURVEY.md §8).
-* ``wand`` is block-max WAND: rank-identical to exhaustive disjunctive
-  (asserted in tests), it just skips scoring work.  Negative-IDF terms
-  are handled by clamping upper bounds at zero.
 
 Batch evaluation over a query table runs as an actor pool:
 ``queries_ds.map_batches(BatchQueryEngine, concurrency=N)`` — the index
@@ -92,6 +91,16 @@ def _heap_topk(docs: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, 
     return _out_rank_heap(hp)
 
 
+def _probe(sorted_docs: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``docs`` in the ascending ``sorted_docs`` and whether
+    each one is there: one vectorized membership probe."""
+    pos = np.searchsorted(sorted_docs, docs)
+    if not len(sorted_docs):
+        return pos, np.zeros(len(docs), dtype=bool)
+    # a doc past the end meets the last (smaller) element: not a hit
+    return pos, sorted_docs[np.minimum(pos, len(sorted_docs) - 1)] == docs
+
+
 class QueryEngine:
     def __init__(
         self,
@@ -114,29 +123,20 @@ class QueryEngine:
         # dfs here (with reader.n_docs/d_avr overridden alongside) so a
         # shard's scores are bit-identical to the monolithic computation
         self.df_override: dict[str, int] = {}
-        # query-time tombstones (merge.mark_deleted): excluded from every
-        # mode's candidates; global stats (N, d_avr, df) still count them
-        # until a delete_docs compaction — the Lucene live-docs contract
-        t = self.reader.tombstones
-        self._tomb_set: frozenset = frozenset(t.tolist()) if len(t) else frozenset()
 
     def _drop_tombstoned(self, docs, scores):
-        """Vectorized live-docs filter over candidate (docs, scores)."""
+        """Vectorized live-docs filter over candidate (docs, scores).
+
+        Query-time tombstones (merge.mark_deleted) leave every mode's
+        candidates here; global stats (N, d_avr, df) still count them
+        until a delete_docs compaction — the Lucene live-docs contract."""
         t = self.reader.tombstones
         docs = np.asarray(docs, dtype=np.int64)
         scores = np.asarray(scores, dtype=np.float64)
-        if not len(t) or not len(docs):
+        if not len(t):
             return docs, scores
-        pos = np.searchsorted(t, docs)
-        dead = (pos < len(t)) & (t[np.minimum(pos, len(t) - 1)] == docs)
-        return docs[~dead], scores[~dead]
-
-    # ------------------------------------------------------------------
-    def _bm25(self, tf: int, df: int, doc_id: int) -> float:
-        r = self.reader
-        idf = np.log2((r.n_docs - df + 0.5) / (df + 0.5))
-        dl = r.doc_len(doc_id)
-        return float(idf * (1.2 + 1) * tf / (1.2 * ((1 - 0.75) + 0.75 * dl / r.d_avr) + tf))
+        live = ~_probe(t, docs)[1]
+        return docs[live], scores[live]
 
     def _topk(self, docs, scores, k: int) -> list[tuple[int, float]]:
         docs, scores = self._drop_tombstoned(docs, scores)
@@ -150,47 +150,9 @@ class QueryEngine:
         lists = [c for t in terms if (c := self.reader.open_list(t)) is not None]
         if self.df_override:
             for c in lists:  # global dfs BEFORE the sort — order must match
-                df_local = c.df
                 c.df = self.df_override.get(c.term, c.df)
-                self._set_bound_scale(c, df_local, c.df)
         lists.sort(key=lambda c: c.df)
-        for i, c in enumerate(lists):
-            c.order = i
         return lists
-
-    def _set_bound_scale(self, c: PostingCursor, df_local: int, df_global: int) -> None:
-        """Make the baked (shard-local) block/term score bounds valid under
-        the injected GLOBAL stats triple, without storing anything new.
-
-        A baked bound is ``idf_l * max_p g_l(p)`` with ``g(tf, dl) =
-        (k1+1)tf / (k1((1-b) + b*dl/d_avr) + tf)``.  Per posting, the
-        mediant inequality gives ``g_g(p) <= max(1, d_avr_g/d_avr_l) *
-        g_l(p)``, so for positive local idf the global bound is the baked
-        bound scaled by ``(idf_g/idf_l) * max(1, d_avr_g/d_avr_l)``.
-        Negative global idf caps the contribution at 0; the rare
-        ``idf_l <= 0 < idf_g`` term (baked bound useless) falls back to
-        the universal ``idf_g * (k1+1)`` cap (``g < k1+1`` always)."""
-        man = self.reader.manifest
-        n_l, davr_l = man.n_docs, man.d_avr
-        r = self.reader
-        idf_l = float(np.log2((n_l - df_local + 0.5) / (df_local + 0.5)))
-        idf_g = float(np.log2((r.n_docs - df_global + 0.5) / (df_global + 0.5)))
-        if idf_g <= 0.0:
-            c.bound_cap = 0.0
-        elif idf_l > 0.0 and davr_l > 0.0:
-            c.bound_scale = (idf_g / idf_l) * max(1.0, float(r.d_avr) / davr_l)
-        else:
-            c.bound_cap = idf_g * (1.2 + 1)
-
-    def _ub_term(self, c: PostingCursor) -> float:
-        if c.bound_cap is not None:
-            return c.bound_cap
-        return max(float(c.max_score), 0.0) * c.bound_scale
-
-    def _ub_block(self, c: PostingCursor, doc: int) -> float:
-        if c.bound_cap is not None:
-            return c.bound_cap
-        return max(float(c.block_max_geq(doc)), 0.0) * c.bound_scale
 
     def parse_query(self, query: str) -> list[str]:
         # query tokenizer = same alnum scanner; trailing token NOT dropped at
@@ -202,22 +164,11 @@ class QueryEngine:
         lists = self._open_lists(terms)
         if not lists:
             return []
-        if len(lists) == 1:
-            # single-list AND scores every posting in doc order — in both
-            # conformance and correct semantics — so take the vectorized path
-            return self._score_single_list(lists[0], k)
-        return (
-            self._conjunctive_conformance(lists, k)
-            if self.conformance
-            else self._conjunctive_correct(lists, k)
-        )
-
-    def _score_single_list(self, c: PostingCursor, k: int) -> list[tuple[int, float]]:
-        r = self.reader
-        docs, tfs = c.decode_all_remaining()
-        dls = r.docs.dl[docs].astype(np.float64)
-        scores = bm25_components(tfs, dls, c.df, r.n_docs, r.d_avr)
-        return self._topk(docs, scores, k)
+        if self.conformance and len(lists) > 1:
+            return self._conjunctive_conformance(lists, k)
+        # a one-list AND scores every posting in doc order under both
+        # semantics, so it is the one-list case of the correct-mode path
+        return self._topk(*self._dense_and(lists), k)
 
     def _conjunctive_conformance(self, lists: list[PostingCursor], k: int):
         r = self.reader
@@ -252,7 +203,7 @@ class QueryEngine:
                     tfs.append(c.curr_freq)
                 did += 1
         # score once, summing per-list terms left to right in df-ascending
-        # list order from 0.0: the same floats as _bm25 summed per match
+        # list order from 0.0: the same floats as a scalar sum per match
         docs = np.asarray(match_docs, dtype=np.int64)
         dls = r.docs.dl[docs].astype(np.float64)
         scores = np.zeros(len(docs))
@@ -262,61 +213,25 @@ class QueryEngine:
             )
         return self._topk(docs, scores, k)
 
-    def _conjunctive_correct(self, lists: list[PostingCursor], k: int):
-        # dense regime (all lists comparably sized): decode + vectorized
-        # membership beats posting-at-a-time leapfrog; sparse regime (one
-        # short list): leapfrog skips most of the long lists.
-        if lists[-1].df <= 16 * lists[0].df:
-            return self._conjunctive_correct_vectorized(lists, k)
-        return self._conjunctive_correct_leapfrog(lists, k)
-
-    def _conjunctive_correct_vectorized(self, lists: list[PostingCursor], k: int):
+    def _dense_and(self, lists: list[PostingCursor]) -> tuple[np.ndarray, np.ndarray]:
+        """Docs in every list and their BM25 sums, set at a time: decode
+        each list whole, keep the lead (shortest) list's docs that a
+        ``searchsorted`` probe finds in it, and add its contribution.
+        Sums run in df-ascending list order, the same floats as a sum per
+        match."""
         r = self.reader
-        base_docs, base_tfs = lists[0].decode_all_remaining()
-        dls = r.docs.dl[base_docs].astype(np.float64)
-        total = bm25_components(base_tfs, dls, lists[0].df, r.n_docs, r.d_avr)
-        mask = np.ones(len(base_docs), dtype=bool)
+        docs, tfs = lists[0].decode_all_remaining()
+        scores = bm25_components(
+            tfs, r.docs.dl[docs].astype(np.float64), lists[0].df, r.n_docs, r.d_avr
+        )
         for c in lists[1:]:
             docs_i, tfs_i = c.decode_all_remaining()
-            pos = np.searchsorted(docs_i, base_docs)
-            ok = (pos < len(docs_i)) & (docs_i[np.minimum(pos, len(docs_i) - 1)] == base_docs)
-            mask &= ok
-            sel = np.minimum(pos, len(docs_i) - 1)
-            contrib = bm25_components(
-                tfs_i[sel], r.docs.dl[base_docs].astype(np.float64), c.df, r.n_docs, r.d_avr
+            pos, hit = _probe(docs_i, docs)
+            docs, scores = docs[hit], scores[hit]
+            scores = scores + bm25_components(
+                tfs_i[pos[hit]], r.docs.dl[docs].astype(np.float64), c.df, r.n_docs, r.d_avr
             )
-            total = total + np.where(ok, contrib, 0.0)
-        return self._topk(base_docs[mask], total[mask], k)
-
-    def _conjunctive_correct_leapfrog(self, lists: list[PostingCursor], k: int):
-        max_doc = self.reader.max_doc_id
-        hp = _RefHeap()
-        cd: list[int] = []
-        cs: list[float] = []
-        candidate = 0
-        while True:
-            candidate = lists[0].seek_geq(candidate)
-            if candidate >= max_doc:
-                break
-            matched = True
-            for c in lists[1:]:
-                d = c.seek_geq(candidate)
-                if d > candidate:
-                    candidate = d
-                    matched = False
-                    break
-            if matched:
-                if candidate not in self._tomb_set:  # live-docs filter
-                    score = sum(self._bm25(c.curr_freq, c.df, candidate) for c in lists)
-                    if self.total_order_topk:
-                        cd.append(candidate)
-                        cs.append(score)
-                    else:
-                        _to_rank_heap(hp, candidate, score, k)
-                candidate += 1
-        if self.total_order_topk:
-            return _total_topk(cd, cs, k)
-        return _out_rank_heap(hp)
+        return docs, scores
 
     # ------------------------------------------------------------------
     def and_not(
@@ -325,38 +240,19 @@ class QueryEngine:
         """Boolean AND-NOT (an extension — the reference supports only
         and/or, src/query.c:232-300): docs matching ALL positive terms
         and NONE of the negative terms, BM25-scored on the positive
-        terms only.  Scores are bit-identical to the correct-mode
-        conjunction of ``pos_terms`` (same df-ascending accumulation
-        order); the exclusion is a vectorized sorted-membership probe
-        per negative list, the classic DAAT NOT.  Unknown negative
-        terms exclude nothing; unknown positive terms are dropped like
-        every other mode."""
+        terms only.  Scores are those of the correct-mode conjunction of
+        ``pos_terms`` (the same :meth:`_dense_and`); the exclusion is a
+        vectorized sorted-membership probe per negative list, the
+        classic DAAT NOT.  Unknown negative terms exclude nothing;
+        unknown positive terms are dropped like every other mode."""
         lists = self._open_lists(pos_terms)
         if not lists:
             return []
-        r = self.reader
-        base_docs, base_tfs = lists[0].decode_all_remaining()
-        dls = r.docs.dl[base_docs].astype(np.float64)
-        total = bm25_components(base_tfs, dls, lists[0].df, r.n_docs, r.d_avr)
-        mask = np.ones(len(base_docs), dtype=bool)
-        for c in lists[1:]:
-            docs_i, tfs_i = c.decode_all_remaining()
-            pos = np.searchsorted(docs_i, base_docs)
-            sel = np.minimum(pos, max(len(docs_i) - 1, 0))
-            ok = (pos < len(docs_i)) & (docs_i[sel] == base_docs)
-            mask &= ok
-            contrib = bm25_components(
-                tfs_i[sel], dls, c.df, r.n_docs, r.d_avr
-            )
-            total = total + np.where(ok, contrib, 0.0)
+        docs, scores = self._dense_and(lists)
         for c in self._open_lists(neg_terms):
-            docs_i, _ = c.decode_all_remaining()
-            if not len(docs_i):
-                continue
-            pos = np.searchsorted(docs_i, base_docs)
-            sel = np.minimum(pos, len(docs_i) - 1)
-            mask &= ~((pos < len(docs_i)) & (docs_i[sel] == base_docs))
-        return self._topk(base_docs[mask], total[mask], k)
+            live = ~_probe(c.decode_all_remaining()[0], docs)[1]
+            docs, scores = docs[live], scores[live]
+        return self._topk(docs, scores, k)
 
     # ------------------------------------------------------------------
     def disjunctive(self, terms: list[str], k: int) -> list[tuple[int, float]]:
@@ -491,90 +387,6 @@ class QueryEngine:
             if (toks := self.parse_query(g))
         ]
 
-    def wand(self, terms: list[str], k: int) -> list[tuple[int, float]]:
-        """Block-max WAND — rank-identical to :meth:`disjunctive`.
-
-        Works under BOTH selection semantics.  With the reference heap,
-        entry requires strict ``score > root``, so a pivot is skipped when
-        its bound ``<= theta``.  Under ``total_order_topk`` (sharded
-        serving) a candidate tying the k-th SCORE can still win on the
-        doc-id tiebreak, so skipping requires a STRICT ``bound < theta``
-        — the bound comparisons below use >=/> accordingly.  Baked bounds
-        are rescaled for injected global stats (``_set_bound_scale``), so
-        the sharded tier's disjunctive queries skip blocks too."""
-        import heapq
-
-        check_k(k)
-        lists = self._open_lists(terms)
-        if not lists or k == 0:
-            return []
-        if len(lists) == 1:
-            # single list: WAND degenerates to scoring every posting —
-            # identical result via the vectorized path
-            return self._score_single_list(lists[0], k)
-        max_doc = self.reader.max_doc_id
-        total = self.total_order_topk
-        hp = _RefHeap()
-        theap: list[tuple[float, int]] = []  # (score, -doc): min = evictee
-        cursors = []
-        for c in lists:
-            if c.seek_geq(0) < max_doc:
-                cursors.append(c)
-        NEG_INF = float("-inf")
-        while cursors:
-            cursors.sort(key=lambda c: c.curr_doc)
-            if total:
-                full = len(theap) >= k
-                theta = theap[0][0] if full else NEG_INF
-            else:
-                full = hp.size >= k
-                theta = hp.elem[0][0] if full else NEG_INF
-            acc = 0.0
-            pivot_idx = -1
-            for i, c in enumerate(cursors):
-                acc += self._ub_term(c)
-                if acc > theta or (total and acc >= theta):
-                    pivot_idx = i
-                    break
-            if pivot_idx < 0:
-                break  # no doc can beat the threshold
-            pivot_doc = cursors[pivot_idx].curr_doc
-            if cursors[0].curr_doc == pivot_doc:
-                at_pivot = [c for c in cursors if c.curr_doc == pivot_doc]
-                # block-max refinement: skip full scoring when the tight
-                # per-block bound already can't beat theta
-                bm_ub = sum(self._ub_block(c, pivot_doc) for c in at_pivot)
-                if pivot_doc in self._tomb_set:
-                    # live-docs filter: never scored/inserted; theta stays a
-                    # valid lower bound for the tombstone-filtered exhaustive
-                    # run, so rank-identity with disjunctive() is preserved
-                    pass
-                elif not full or bm_ub > theta or (total and bm_ub >= theta):
-                    # sum in df-ascending list order so the float result is
-                    # bit-identical to the exhaustive path's accumulation
-                    score = sum(
-                        self._bm25(c.curr_freq, c.df, pivot_doc)
-                        for c in sorted(at_pivot, key=lambda c: c.order)
-                    )
-                    if total:
-                        item = (score, -pivot_doc)
-                        if len(theap) < k:
-                            heapq.heappush(theap, item)
-                        elif item > theap[0]:
-                            heapq.heapreplace(theap, item)
-                    else:
-                        _to_rank_heap(hp, pivot_doc, score, k)
-                for c in at_pivot:
-                    c.advance()
-            else:
-                # advance the leading cursor up to the pivot
-                cursors[0].seek_geq(pivot_doc)
-            cursors = [c for c in cursors if c.curr_doc < max_doc]
-        if total:
-            ranked = sorted(theap, key=lambda it: (-it[0], -it[1]))
-            return [(-nd, s) for s, nd in ranked]
-        return _out_rank_heap(hp)
-
     # ------------------------------------------------------------------
     def search(
         self,
@@ -582,7 +394,6 @@ class QueryEngine:
         k: int = 10,
         mode: int = CONJUNCTIVE,
         *,
-        algorithm: str | None = None,
         neg_query: str = "",
         msm: int = 1,
     ) -> list[dict]:
@@ -608,8 +419,6 @@ class QueryEngine:
             ranked = self.and_not(terms, self.parse_query(neg_query), k)
         elif mode == CONJUNCTIVE:
             ranked = self.conjunctive(terms, k)
-        elif algorithm == "wand":
-            ranked = self.wand(terms, k)
         else:
             ranked = self.disjunctive(terms, k)
         return [
@@ -674,9 +483,8 @@ class BatchQueryEngine:
     concurrency=2).
     """
 
-    def __init__(self, index_dir: str, *, conformance: bool = True, algorithm: str | None = None):
+    def __init__(self, index_dir: str, *, conformance: bool = True):
         self.engine = QueryEngine(index_dir, conformance=conformance)
-        self.algorithm = algorithm
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cols = batch.column_names
@@ -710,7 +518,6 @@ class BatchQueryEngine:
         for i in range(batch.num_rows):  # per QUERY, not per row of data
             hits = self.engine.search(
                 terms_col[i], int(k_col[i]), int(mode_col[i]),
-                algorithm=self.algorithm,
                 neg_query=neg_col[i] or "",
                 msm=int(msm_col[i]),
             )

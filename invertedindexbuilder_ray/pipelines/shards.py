@@ -37,28 +37,9 @@ top-ks, so sharded serving defines its semantics as the total order
 above: same scores, deterministic tie membership and order.  The
 monolithic engine keeps the quirk heap for reference conformance.
 
-Block-max WAND is available INSIDE each shard for disjunctive queries
-(``algorithm="wand"``): the per-block upper bounds baked at build time
-use SHARD-local stats, but a valid bound under the injected global
-triple is the baked bound scaled by ``(idf_global/idf_local) * max(1,
-d_avr_global/d_avr_local)`` (``QueryEngine._set_bound_scale`` — mediant
-inequality on the BM25 length normalizer; negative-IDF edges clamp/cap).
-Selection uses the total-order threshold (skip only on a STRICT
-bound < theta, since a score tie can still win on doc id), so sharded
-WAND is identical to sharded exhaustive — asserted by the fuzz tests.
-
-WAND is OPT-IN, not the disjunctive default, on measured evidence
-(BASELINE.md round-4): on the 4-shard 100k Zipf bench the vectorized
-exhaustive union serves OR queries at p50 10.8 ms vs WAND's 29.5 ms,
-and a bound-survival analysis with a PERFECT threshold shows term-level
-pruning eliminates 0% of blocks on every multi-term query mix entry
-(the rare term's UB swamps theta; hot-list block maxima sit at the
-surviving margin) while the only prunable case — a single hot term —
-already takes the vectorized single-list path.  Per-posting pivoting is
-a win only where block DECODE dominates (native engines, 10^9-posting
-lists, cold storage); in this numpy engine decode is vectorized and the
-pivot loop is pure overhead.  The bound-rescale math stays, tested, for
-deployments where that trade flips.
+Each shard runs the monolithic engine's own mode kernels under the
+injected stats.  Block-max WAND inside the shards measured slower than
+the exhaustive union (BASELINE.md round 4) and was removed.
 
 doc_id contract matches ``merge_indexes``: shard i's local ids shift by
 the sum of earlier shards' ``max_doc_id``.
@@ -110,7 +91,6 @@ def _make_searcher():
             n_docs: int,
             d_avr: float,
             dfs: dict[str, int],
-            algorithm: str | None = None,
         ) -> list[tuple[int, float]]:
             _check_mode(mode)
             eng = self.engine
@@ -132,13 +112,6 @@ def _make_searcher():
                     ranked = eng.cnf(terms, k)
                 elif mode == CONJUNCTIVE:
                     ranked = eng.conjunctive(terms, k)
-                elif algorithm == "wand" and r.block_max:
-                    # block-max WAND with globally rescaled bounds —
-                    # identical result to the exhaustive union (fuzz-
-                    # asserted), fewer DECODED blocks.  Opt-in, not the
-                    # default: see module docstring for the measured
-                    # reasoning.
-                    ranked = eng.wand(terms, k)
                 else:
                     ranked = eng.disjunctive(terms, k)
             finally:
@@ -180,18 +153,10 @@ class ShardedEngine:
         self._df_cache: dict[str, int] = {}
 
     def search_terms(
-        self,
-        terms: list[str],
-        k: int = 10,
-        mode: int = CONJUNCTIVE,
-        algorithm: str | None = None,
+        self, terms: list[str], k: int = 10, mode: int = CONJUNCTIVE
     ) -> list[tuple[int, float]]:
         """``mode`` is AND, OR or CNF; any other mode, and k < 0, raise
-        ``ValueError`` before any RPC; k = 0 returns [].  ``algorithm``
-        is a measurement/testing hook: None (default) runs the exhaustive
-        union for disjunctive queries; "wand" makes each shard run
-        block-max WAND when its index carries block-max data (identical
-        results, fewer scored blocks)."""
+        ``ValueError`` before any RPC; k = 0 returns []."""
         import ray
 
         _check_mode(mode)
@@ -216,9 +181,7 @@ class ShardedEngine:
         # phase 2: per-shard top-k under the GLOBAL stats triple
         results = ray.get(
             [
-                a.search.remote(
-                    terms, k, mode, self.n_docs, self.d_avr, dfs, algorithm
-                )
+                a.search.remote(terms, k, mode, self.n_docs, self.d_avr, dfs)
                 for a in self.actors
             ]
         )
@@ -229,20 +192,14 @@ class ShardedEngine:
             [c[0] for c in cands], [c[1] for c in cands], k
         )
 
-    def search(
-        self,
-        query: str,
-        k: int = 10,
-        mode: int = CONJUNCTIVE,
-        algorithm: str | None = None,
-    ):
+    def search(self, query: str, k: int = 10, mode: int = CONJUNCTIVE):
         if mode == CNF:
             groups = [
                 toks
                 for g in query.split(";")
                 if (toks := oracle_tokenize(g + " ", drop_trailing=True))
             ]
-            return self.search_terms(groups, k, mode, algorithm)
+            return self.search_terms(groups, k, mode)
         return self.search_terms(
-            oracle_tokenize(query + " ", drop_trailing=True), k, mode, algorithm
+            oracle_tokenize(query + " ", drop_trailing=True), k, mode
         )

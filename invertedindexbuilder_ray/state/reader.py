@@ -13,8 +13,8 @@ The cursor exposes both semantics:
 
 * ``next_geq(k)`` — the reference's DESTRUCTIVE cursor (quirk Q-C): it
   consumes every posting it passes, including the one it returns.
-* ``seek_geq(k)`` / ``advance()`` — textbook non-consuming iteration,
-  used by the correct-mode engines and block-max WAND.
+* ``seek_geq(k)`` — textbook non-consuming positioning (the catalog's
+  posting probes use it).
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ class PostingCursor:
     """Forward iterator over one term's compressed posting list."""
 
     __slots__ = (
-        "meta", "max_doc_id", "df", "max_score", "_blk", "_i",
-        "_docs", "_tfs", "curr_doc", "curr_freq", "term", "order",
-        "_preloaded", "bound_scale", "bound_cap",
+        "meta", "max_doc_id", "df", "_blk", "_i",
+        "_docs", "_tfs", "curr_doc", "curr_freq", "term", "_preloaded",
     )
 
     def __init__(self, buf: np.ndarray, *, block_max: bool, max_doc_id: int,
-                 max_score: float = 0.0, term: str = ""):
+                 term: str = ""):
         self.meta = compress.open_list(buf, block_max=block_max)
         self.max_doc_id = max_doc_id
         self.df = self.meta.df
-        self.max_score = max_score
         self.term = term
         self._blk = -1          # index of the decoded block (-1: none yet)
         self._i = 0             # position within the decoded block
@@ -55,13 +53,7 @@ class PostingCursor:
         self._tfs = None
         self.curr_doc = EXHAUSTED   # doc at the cursor (seek semantics)
         self.curr_freq = 0
-        self.order = 0              # position in the engine's df-sorted list set
         self._preloaded = False
-        # sharded serving: baked block/term bounds use BUILD-time (shard-
-        # local) stats; QueryEngine rescales them to stay valid under the
-        # injected global triple (see QueryEngine._set_bound_scale)
-        self.bound_scale = 1.0
-        self.bound_cap: float | None = None
 
     # -- internals ---------------------------------------------------------
     def preload(self) -> None:
@@ -141,24 +133,6 @@ class PostingCursor:
         self.curr_freq = int(self._tfs[self._i])
         return self.curr_doc
 
-    def advance(self) -> int:
-        """Step past the current posting and land on the next one."""
-        self._i += 1
-        return self.seek_geq(0 if self.curr_doc == EXHAUSTED else self.curr_doc + 1)
-
-    # -- block-max support -------------------------------------------------
-    def block_max_geq(self, k: int) -> float:
-        """Upper-bound score of the block that would contain the first
-        doc >= k (0.0 when exhausted or metadata absent)."""
-        if self.meta.block_max is None:
-            return float(self.max_score)
-        start = self._blk if self._blk >= 0 else 0
-        rel = int(np.searchsorted(self.meta.last_docs[start:], k))
-        b = start + rel
-        if b >= self.meta.n_blocks:
-            return 0.0
-        return float(self.meta.block_max[b])
-
     def decode_all_remaining(self) -> tuple[np.ndarray, np.ndarray]:
         """Bulk-decode from the current position to the end (vectorized OR path)."""
         if self._preloaded:
@@ -186,9 +160,8 @@ class SegmentedCursor:
     value BM25's ft needs), not any segment's length.
     """
 
-    __slots__ = ("reader", "term", "df", "max_doc_id", "max_score",
-                 "entries", "_si", "_cur", "curr_doc", "curr_freq", "order",
-                 "bound_scale", "bound_cap")
+    __slots__ = ("reader", "term", "df", "max_doc_id",
+                 "entries", "_si", "_cur", "curr_doc", "curr_freq")
 
     def __init__(self, reader: "IndexReader", term: str, df: int, entries):
         self.reader = reader
@@ -196,14 +169,10 @@ class SegmentedCursor:
         self.df = df
         self.entries = entries  # sorted by seg number == ascending doc range
         self.max_doc_id = reader.max_doc_id
-        self.max_score = max(e[4] for e in entries)
         self._si = 0
         self._cur = reader._open_segment(term, entries[0])
         self.curr_doc = EXHAUSTED
         self.curr_freq = 0
-        self.order = 0
-        self.bound_scale = 1.0
-        self.bound_cap: float | None = None
 
     def _next_segment(self) -> bool:
         if self._si + 1 >= len(self.entries):
@@ -234,25 +203,6 @@ class SegmentedCursor:
                 self.curr_doc = self.max_doc_id
                 self.curr_freq = 0
                 return self.max_doc_id
-
-    def advance(self) -> int:
-        d = self._cur.advance()
-        if d < self.max_doc_id:
-            self.curr_doc = d
-            self.curr_freq = self._cur.curr_freq
-            return d
-        if not self._next_segment():
-            self.curr_doc = self.max_doc_id
-            self.curr_freq = 0
-            return self.max_doc_id
-        return self.seek_geq(0)
-
-    def block_max_geq(self, k: int) -> float:
-        # valid (slightly loose) bound: current segment's block bound or any
-        # later segment's whole-segment max
-        bounds = [self._cur.block_max_geq(k)]
-        bounds += [e[4] for e in self.entries[self._si + 1 :]]
-        return max(bounds) if bounds else 0.0
 
     def decode_all_remaining(self) -> tuple[np.ndarray, np.ndarray]:
         d0, t0 = self._cur.decode_all_remaining()
@@ -358,12 +308,11 @@ class IndexReader:
         return SegmentedCursor(self, term, df, sorted(segments))
 
     def _open_segment(self, term: str, seg: tuple[int, int, int, int, float]) -> PostingCursor:
-        _segno, pid, off, nbytes, max_score = seg
+        _segno, pid, off, nbytes, _max_score = seg
         return PostingCursor(
             self._blob(pid)[off : off + nbytes],
             block_max=self.block_max,
             max_doc_id=self.max_doc_id,
-            max_score=max_score,
             term=term,
         )
 

@@ -108,7 +108,7 @@ def test_random_corpora_conformance(ray_session, tmp_path, seed):
         np.testing.assert_allclose(
             [s for _, s in got], [s for _, s in want], rtol=1e-9
         )
-        got_o = eng.wand(terms, k)
+        got_o = eng.disjunctive(terms, k)
         want_o = oracle.disjunctive_topk(ora, terms, k)
         assert [d for d, _ in got_o] == [d for d, _ in want_o], (seed, terms)
         neg = [rng.choice(vocab) for _ in range(rng.randint(0, 2))]
@@ -245,3 +245,48 @@ def test_multiblock_conformance_and_tombstones(skewed_index, tmp_path):
         live = [m for m in _all_matches(ora, terms) if m[0] not in dead]
         _assert_same(eng.conjunctive(terms, k),
                      _plain_heap([d for d, _ in live], [s for _, s in live], k), (terms, k))
+
+
+def test_multiblock_correct_and_fuzz(skewed_index, tmp_path):
+    """Correct-mode AND (the dense intersection) against the oracle's
+    textbook intersection on multi-block lists, with long/short df ratios
+    on both sides of 16, under heap and total-order selection, with
+    tombstones, and over a heavy-hitter segmented build of the same
+    corpus.  AND-NOT with no negative terms is the same query, exactly."""
+    import os
+    import shutil
+
+    from invertedindexbuilder_ray.pipelines.merge import mark_deleted
+    from invertedindexbuilder_ray.state.reader import SegmentedCursor
+
+    src, ora = skewed_index
+    queries = _and_queries(ora, 3, 60)
+    ratios = [max(len(ora.postings[t]) for t in terms) / min(len(ora.postings[t]) for t in terms)
+              for terms, _ in queries]
+    assert min(ratios) <= 16 < max(ratios)
+
+    seg = str(tmp_path / "seg")
+    build_index(load_webpages(os.path.join(os.path.dirname(src), "src")), seg,
+                num_partitions=2, segment_max_postings=300)
+    assert any(isinstance(IndexReader(seg).open_list(t), SegmentedCursor)
+               for terms, _ in queries for t in terms)
+    dead_idx = str(tmp_path / "dead")
+    shutil.copytree(src, dead_idx)
+    dead = set(range(1, ora.max_doc_id, 5))
+    mark_deleted(dead_idx, dead)
+
+    for out, gone in ((src, set()), (seg, set()), (dead_idx, dead)):
+        heap = QueryEngine(out, conformance=False)
+        tot = QueryEngine(out, conformance=False, total_order_topk=True)
+        for terms, k in queries:
+            every = oracle.conjunctive_topk(ora, terms, ora.max_doc_id + 1, mode="correct")
+            live = sorted(m for m in every if m[0] not in gone)
+            want = (oracle.conjunctive_topk(ora, terms, k, mode="correct") if not gone
+                    else _plain_heap([d for d, _ in live], [s for _, s in live], k))
+            ctx = (out, terms, k)
+            got = heap.conjunctive(terms, k)
+            _assert_same(got, want, ctx)
+            assert heap.and_not(terms, [], k) == got, ctx
+            got = tot.conjunctive(terms, k)
+            _assert_same(got, sorted(live, key=lambda m: (-m[1], m[0]))[:k], ctx)
+            assert tot.and_not(terms, [], k) == got, ctx

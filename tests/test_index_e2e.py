@@ -86,7 +86,7 @@ def test_conjunctive_correct_mode(built_index):
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=1e-9)
 
 
-def test_disjunctive_and_wand(built_index):
+def test_disjunctive_matches_oracle(built_index):
     out, _, ora = built_index
     eng = qmod.QueryEngine(out)
     for q in corpus.make_queries():
@@ -95,10 +95,6 @@ def test_disjunctive_and_wand(built_index):
         want = oracle.disjunctive_topk(ora, terms, q["k"])
         assert [d for d, _ in got] == [d for d, _ in want], q
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=1e-9)
-        # WAND must be rank-identical (same docs, same scores, same order)
-        wand = eng.wand(terms, q["k"])
-        assert [d for d, _ in wand] == [d for d, _ in got], q
-        np.testing.assert_allclose([s for _, s in wand], [s for _, s in got], rtol=1e-12)
 
 
 def test_partial_resume_rebuilds_identical_bytes(built_index, tmp_path):

@@ -141,13 +141,6 @@ def test_cli_sharded_query(sharded_setup, capsys):
 
     with pytest.raises(SystemExit, match="--index or --shards"):
         main(["query", "--terms", "x"])
-    # --algorithm wand opts the shards into block-max WAND (identical output)
-    assert main(["query", "--shards", *shard_dirs, "--terms", "data join",
-                 "--k", "3", "--mode", "or", "--algorithm", "wand"]) == 0
-    wand_out = capsys.readouterr().out
-    assert main(["query", "--shards", *shard_dirs, "--terms", "data join",
-                 "--k", "3", "--mode", "or"]) == 0
-    assert capsys.readouterr().out == wand_out
 
 
 def test_sharded_identity_fuzz(sharded_setup):
@@ -169,35 +162,10 @@ def test_sharded_identity_fuzz(sharded_setup):
         assert got == _mono_truth(mono, terms, k, mode), (terms, k, mode)
 
 
-def test_total_order_wand_identical_to_disjunctive(sharded_setup):
-    """Round-4: WAND under total_order_topk (the sharded serving path)
-    must return EXACTLY the total-order disjunctive result — including
-    score ties resolved by doc id (skip condition is strict < theta)."""
-    import numpy as np
-
-    _, full = sharded_setup
-    eng = QueryEngine(full, conformance=False, total_order_topk=True)
-    vocab = sorted(eng.reader.lexicon)[:200]
-    rng = np.random.RandomState(17)
-    for q in QUERIES:
-        terms = eng.parse_query(q)
-        for k in (1, 3, 10, 50):
-            assert eng.wand(terms, k) == eng.disjunctive(terms, k), (q, k)
-    for _ in range(25):
-        n_terms = int(rng.randint(1, 6))
-        terms = [vocab[i] for i in rng.randint(0, len(vocab), n_terms)]
-        k = int(rng.choice([1, 2, 7, 100]))
-        assert eng.wand(terms, k) == eng.disjunctive(terms, k), (terms, k)
-
-
-def test_sharded_wand_bound_rescale_fuzz(sharded_setup):
-    """Round-4: sharded disjunctive can run block-max WAND (opt-in,
-    ``algorithm="wand"``) with bounds rescaled to the injected global
-    triple — identity with the monolithic total-order truth must survive
-    a dedicated OR-heavy fuzz (uneven shards make local d_avr/idf differ
-    from global, exercising every branch of _set_bound_scale).  The
-    default exhaustive path is fuzzed side by side: both algorithms must
-    produce the identical result."""
+def test_sharded_or_uneven_shards_fuzz(sharded_setup):
+    """A dedicated OR-heavy fuzz: uneven shards make the local d_avr and
+    idf differ from the global ones, and the injected global stats must
+    still give the monolithic total-order truth exactly."""
     import numpy as np
 
     shard_dirs, full = sharded_setup
@@ -210,10 +178,7 @@ def test_sharded_wand_bound_rescale_fuzz(sharded_setup):
         terms = [vocab[i] for i in rng.randint(0, len(vocab), n_terms)]
         k = int(rng.choice([1, 3, 10, 100]))
         truth = _mono_truth(mono, terms, k, DISJUNCTIVE)
-        got_wand = sharded.search_terms(terms, k, DISJUNCTIVE, algorithm="wand")
-        assert got_wand == truth, (terms, k)
-        got_default = sharded.search_terms(terms, k, DISJUNCTIVE)
-        assert got_default == truth, (terms, k)
+        assert sharded.search_terms(terms, k, DISJUNCTIVE) == truth, (terms, k)
 
 
 def test_rolling_delta_served_as_shard(ray_session, webpages_medium, tmp_path):
@@ -342,6 +307,27 @@ def test_unsupported_modes_raise(sharded_setup):
     assert sharded._df_cache == {}  # the df prepass never ran
 
 
+def test_algorithm_option_rejected(sharded_setup):
+    """There is one OR path: an ``algorithm`` choice is an error at every
+    layer, never silently ignored."""
+    from invertedindexbuilder_ray.cli import main
+    from invertedindexbuilder_ray.pipelines.query import BatchQueryEngine
+
+    shard_dirs, full = sharded_setup
+    with pytest.raises(TypeError, match="algorithm"):
+        QueryEngine(full).search("data join", 10, DISJUNCTIVE, algorithm="wand")
+    with pytest.raises(TypeError, match="algorithm"):
+        BatchQueryEngine(full, algorithm="wand")
+    sharded = ShardedEngine(shard_dirs)
+    with pytest.raises(TypeError):
+        sharded.search("data join", 10, DISJUNCTIVE, "wand")
+    with pytest.raises(TypeError):
+        sharded.search_terms(["data", "join"], 10, DISJUNCTIVE, "wand")
+    with pytest.raises(SystemExit):
+        main(["query", "--index", full, "--terms", "data join", "--mode", "or",
+              "--algorithm", "wand"])
+
+
 def test_k_zero_returns_empty_k_negative_raises(sharded_setup):
     """k = 0 ranks nothing in every mode under both selection semantics
     (the reference heap used to raise IndexError once it had a candidate);
@@ -351,9 +337,8 @@ def test_k_zero_returns_empty_k_negative_raises(sharded_setup):
     shard_dirs, full = sharded_setup
     calls = [
         ("data join", CONJUNCTIVE, {}),
-        ("the data", CONJUNCTIVE, {}),  # hot x hot: leapfrog-free dense AND
+        ("the data", CONJUNCTIVE, {}),  # hot x hot
         ("data join", DISJUNCTIVE, {}),
-        ("data join", DISJUNCTIVE, {"algorithm": "wand"}),
         ("data", ANDNOT, {"neg_query": "join"}),
         ("the; data of", CNF, {}),
         ("the data join", MSM, {"msm": 2}),
