@@ -109,6 +109,7 @@ def ann_build(
             meta = {}
         marker_fp = str(meta.get("fingerprint", ""))
         if marker_fp == fp:
+            mf.mark_used(d)
             return d
         if marker_fp.startswith(f"{fp}+extend:") and not rebuild:
             raise RuntimeError(
@@ -359,6 +360,7 @@ def ann_query_artifact(
             f"ANN artifact at {artifact_dir} is incomplete (interrupted "
             "build or extend); rebuild it with ann_build(..., rebuild=True)"
         )
+    mf.mark_used(artifact_dir)
     with open(os.path.join(artifact_dir, "meta.json")) as f:
         meta = json.load(f)
     if meta["kind"] == "lsh":

@@ -244,6 +244,7 @@ def minhash_signature_ckpt(
         except (OSError, ValueError):
             meta = {}
         if meta.get("fingerprint") == input_fingerprint:
+            mf.mark_used(d)
             return d
     if derived:
         raise RuntimeError(
@@ -299,6 +300,7 @@ def _write_sig_ckpt(
         try:
             with open(mf.marker_path(d)) as f:
                 if json.load(f).get("fingerprint") == fingerprint:
+                    mf.mark_used(d)
                     return d
         except (OSError, ValueError):
             pass

@@ -6,15 +6,21 @@ The reference performs a k-way merge once, inside its build
 production "compact many incremental indexes" path a training-data
 pipeline needs for rolling ingestion.  Shape:
 
+  docs tables minus tombstones are offset + unioned -> merged docs dir
   for each (input index i, partition p): ONE task decodes partition p of
   index i back to posting rows (term, doc_id + offset_i, tf, dl,
-  partition=p) and writes them straight into the hive-partitioned
-  checkpoint layout build_index uses            # embarrassingly parallel,
+  partition=p) — one vectorized compress.decode_partition over the
+  whole partition blob, tombstoned rows dropped — and writes them
+  straight into the hive-partitioned checkpoint layout build_index uses
+                                                # embarrassingly parallel,
                                                 # ZERO shuffles — partition
                                                 # p rows land in partition=p
-  docs tables are offset + unioned -> merged docs dir
   phase 3 of the normal build (BuildPartition) re-encodes each partition
   with the UNION's (n_docs, d_avr) BM25 stats
+
+The manifest's ``phase_seconds`` times the three steps
+(``docs_and_stats``, ``decode_ckpt``, ``encode``).  ``delete_docs`` is
+the same compaction over one input with an explicit tombstone set.
 
 doc_id contract: inputs were built from consecutive corpus slices in
 list order (webpages-source ids are dense per build), so index i's ids
@@ -40,9 +46,9 @@ import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Sum
 
+from ..stages import compress
 from ..state import manifest as mf
 from ..state.manifest import IndexManifest
-from ..state.reader import PostingCursor
 from ..state.reader_docs import DocTable
 from .build import (
     CKPT_DIR,
@@ -55,60 +61,39 @@ from .build import (
 
 
 def _partition_posting_rows(
-    index_dir: str, pid: int, doc_offset: int, dl: np.ndarray, man: dict
+    index_dir: str, pid: int, doc_offset: int, dl: np.ndarray, block_max: bool
 ) -> pa.Table:
-    """Decode one partition of one index back to posting rows."""
+    """Decode one partition of one index back to posting rows, in
+    lexicon (term, seg) order, with one ``compress.decode_partition``."""
     lex_path = os.path.join(index_dir, LEXICON_DIR, f"part-{pid:05d}.parquet")
     blob_path = os.path.join(index_dir, POSTINGS_DIR, f"part-{pid:05d}.bin")
-    lex = pq.read_table(lex_path)
-    if lex.num_rows == 0:
-        return pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "doc_id": pa.array([], pa.int64()),
-                "tf": pa.array([], pa.int32()),
-                "dl": pa.array([], pa.int64()),
-                "partition": pa.array([], pa.int32()),
-            }
+    lex = pq.read_table(lex_path, columns=["term", "seg_df", "offset", "nbytes"])
+    if lex.num_rows:
+        list_of, docs, tfs = compress.decode_partition(
+            np.memmap(blob_path, dtype=np.uint8, mode="r"),
+            lex["offset"].to_numpy(), lex["nbytes"].to_numpy(),
+            lex["seg_df"].to_numpy(), block_max=block_max,
         )
-    blob = np.memmap(blob_path, dtype=np.uint8, mode="r")
-    terms = lex["term"].to_pylist()
-    segs = lex["seg"].to_numpy()
-    offs = lex["offset"].to_numpy()
-    nbs = lex["nbytes"].to_numpy()
-    # lexicon rows are written in (term, seg) build order; decode in order
-    out_terms: list[str] = []
-    out_docs: list[np.ndarray] = []
-    out_tfs: list[np.ndarray] = []
-    counts: list[int] = []
-    order = np.lexsort((segs, np.asarray(terms, dtype=object)))
-    for i in order:
-        cur = PostingCursor(
-            np.asarray(blob[offs[i] : offs[i] + nbs[i]]),
-            block_max=man["block_max"],
-            max_doc_id=man["max_doc_id"],
-            term=terms[i],
-        )
-        docs, tfs = cur.decode_all_remaining()
-        out_terms.append(terms[i])
-        out_docs.append(docs)
-        out_tfs.append(tfs)
-        counts.append(len(docs))
-    docs_all = np.concatenate(out_docs) if out_docs else np.empty(0, np.int64)
-    tfs_all = np.concatenate(out_tfs) if out_tfs else np.empty(0, np.int64)
-    term_col = pa.DictionaryArray.from_arrays(
-        pa.array(np.repeat(np.arange(len(out_terms)), counts), pa.int32()),
-        pa.array(out_terms, pa.string()),
-    ).cast(pa.string())
+    else:
+        list_of = docs = tfs = np.empty(0, np.int64)
     return pa.table(
         {
-            "term": term_col,
-            "doc_id": pa.array(docs_all + doc_offset, pa.int64()),
-            "tf": pa.array(tfs_all.astype(np.int32), pa.int32()),
-            "dl": pa.array(dl[docs_all], pa.int64()),
-            "partition": pa.array(np.full(len(docs_all), pid, np.int32)),
+            "term": lex["term"].take(pa.array(list_of)),
+            "doc_id": pa.array(docs + doc_offset, pa.int64()),
+            "tf": pa.array(tfs.astype(np.int32), pa.int32()),
+            "dl": pa.array(dl[docs], pa.int64()),
+            "partition": pa.array(np.full(len(docs), pid, np.int32)),
         }
     )
+
+
+def _drop_ids(t: pa.Table, dead: np.ndarray) -> pa.Table:
+    """Rows of ``t`` whose ``doc_id`` is not in the sorted array ``dead``."""
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    if not len(dead) or not len(ids):
+        return t
+    pos = np.minimum(np.searchsorted(dead, ids), len(dead) - 1)
+    return t.filter(pa.array(dead[pos] != ids))
 
 
 class _DecodePartition:
@@ -116,39 +101,28 @@ class _DecodePartition:
 
     The per-index doc-length arrays ride the object store once
     (``ray.put``), read by every task — at 10^9+ docs per input these
-    become per-index parquet side files instead of one array."""
+    become per-index parquet side files instead of one array.  Tombstoned
+    docs (``tomb_refs``: each input's sorted set, already shifted by its
+    doc offset like the rows) are compacted away here — the Lucene merge
+    contract, shared by ``merge_indexes`` and ``delete_docs``."""
 
-    def __init__(self, index_dirs, offsets, dl_refs, manifests, tomb_refs=None):
+    def __init__(self, index_dirs, offsets, dl_refs, block_max, tomb_refs):
         self.index_dirs = index_dirs
         self.offsets = offsets
         self.dl_refs = dl_refs
-        self.manifests = manifests
+        self.block_max = block_max
         self.tomb_refs = tomb_refs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
 
         out = []
-        for j in range(batch.num_rows):
-            i = batch["index_i"][j].as_py()
-            pid = batch["pid"][j].as_py()
-            dl = ray.get(self.dl_refs[i])
+        for i, pid in zip(batch["index_i"].to_pylist(), batch["pid"].to_pylist()):
             t = _partition_posting_rows(
-                self.index_dirs[i], pid, self.offsets[i], dl, self.manifests[i]
+                self.index_dirs[i], pid, self.offsets[i],
+                ray.get(self.dl_refs[i]), self.block_max,
             )
-            if self.tomb_refs is not None:
-                # Lucene merge semantics: query-time tombstones
-                # (merge.mark_deleted) are compacted away here — tomb is
-                # the input's sorted LOCAL set shifted by its doc offset,
-                # matching the rows' already-offset ids
-                tomb = ray.get(self.tomb_refs[i])
-                if len(tomb):
-                    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                    pos = np.minimum(
-                        np.searchsorted(tomb, ids), len(tomb) - 1
-                    )
-                    t = t.filter(pa.array(~(tomb[pos] == ids)))
-            out.append(t)
+            out.append(_drop_ids(t, ray.get(self.tomb_refs[i])))
         return pa.concat_tables(out)
 
 
@@ -225,9 +199,6 @@ def merge_indexes(
     resume: bool = True,
 ) -> IndexManifest:
     """Merge indexes built over disjoint corpus slices into one index."""
-    import ray
-    import shutil
-
     mans = [IndexManifest.load(d) for d in index_dirs]
     p = mans[0].num_partitions
     bm = mans[0].block_max
@@ -246,23 +217,7 @@ def merge_indexes(
     # query-time tombstones (mark_deleted) are COMPACTED AWAY by a merge —
     # the Lucene merge contract: the output contains no marked doc and its
     # stats count only survivors.  Local sorted sets, one per input.
-    tombs = []
-    for d in index_dirs:
-        tp = os.path.join(d, "tombstones.bin")
-        tombs.append(
-            np.fromfile(tp, dtype=np.int64)
-            if os.path.exists(tp)
-            else np.empty(0, np.int64)
-        )
-
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, CKPT_DIR)
-    docs_dir = os.path.join(out_dir, DOCS_DIR)
-    if not resume:
-        for sub in (CKPT_DIR, DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
-            pth = os.path.join(out_dir, sub)
-            if os.path.isdir(pth):
-                shutil.rmtree(pth)
+    tombs = [_read_tombstones(d) for d in index_dirs]
     fingerprint = ";".join(
         f"{d}:{m.input_fingerprint}:{m.n_docs}"
         + (
@@ -272,10 +227,89 @@ def merge_indexes(
         )
         for d, m, t in zip(index_dirs, mans, tombs)
     )
+    return _compact(index_dirs, mans, offsets, tombs, out_dir, fingerprint,
+                    resume=resume, stats={"merged_from": index_dirs})
+
+
+def delete_docs(
+    index_dir: str,
+    tombstones,
+    out_dir: str,
+    *,
+    resume: bool = True,
+) -> IndexManifest:
+    """Tombstone deletion + compaction: remove ``tombstones`` (iterable of
+    doc_ids in ``[0, max_doc_id)``), and any docs ``mark_deleted`` already
+    recorded, from ``index_dir`` WITHOUT re-tokenizing the corpus, into
+    ``out_dir`` — byte-identical to ``build_index`` over the filtered
+    corpus (asserted by ``tests/test_merge.py``), because phase 3 is
+    deterministic given (partition rows, n_docs, d_avr) and both paths
+    see the same filtered rows and recomputed stats.
+
+    It is the one-input merge: kept docs keep their ORIGINAL ids (offset
+    0; stable external references), and the same decode + filter task
+    drops the tombstoned postings.  Cost is proportional to the INDEX
+    size, not the corpus text."""
+    man = IndexManifest.load(index_dir)
+    # docs already marked with mark_deleted go too, as in a merge
+    tomb = np.union1d(
+        _checked_doc_ids(tombstones, man.max_doc_id, "delete_docs"),
+        _read_tombstones(index_dir),
+    )
+    # md5, not hash(): Python's bytes hash is salted per process, which
+    # would break resume fingerprints across runs
+    tomb_digest = hashlib.md5(tomb.tobytes()).hexdigest()[:16]
+    fingerprint = (
+        f"delete:{index_dir}:{man.input_fingerprint}:{man.n_docs}"
+        f":{tomb_digest}"
+    )
+    return _compact(
+        [index_dir], [man], [0], [tomb], out_dir, fingerprint, resume=resume,
+        stats={"deleted_from": index_dir, "n_tombstones": int(len(tomb))},
+    )
+
+
+def _compact(
+    index_dirs: list[str],
+    mans: list[IndexManifest],
+    offsets: list[int],
+    tombs: list[np.ndarray],
+    out_dir: str,
+    fingerprint: str,
+    *,
+    resume: bool,
+    stats: dict,
+) -> IndexManifest:
+    """Write ``index_dirs`` minus their tombstones (sorted local ids), doc
+    ids shifted by ``offsets``, as one index at ``out_dir``: docs union
+    and BM25 stats, one decode task per (input, partition) into the
+    hive checkpoint, then the normal phase-3 encode with the new stats.
+    ``stats`` joins the manifest's stats with ``phase_seconds``."""
+    import ray
+    import shutil
+
+    p = mans[0].num_partitions
+    bm = mans[0].block_max
+    phase_s: dict[str, float] = {}
+    t_phase = time.perf_counter()
+
+    def _lap(name: str) -> None:
+        nonlocal t_phase
+        phase_s[name] = round(time.perf_counter() - t_phase, 3)
+        t_phase = time.perf_counter()
+
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt = os.path.join(out_dir, CKPT_DIR)
+    docs_dir = os.path.join(out_dir, DOCS_DIR)
+    if not resume:
+        for sub in (CKPT_DIR, DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
+            pth = os.path.join(out_dir, sub)
+            if os.path.isdir(pth):
+                shutil.rmtree(pth)
 
     # Stale-resume guard (mirrors build_index): resuming into an out_dir whose
-    # docs/ckpt were produced from DIFFERENT input indexes must fail loudly,
-    # not silently re-encode stale rows under a manifest claiming the new
+    # docs/ckpt were produced from DIFFERENT inputs must fail loudly, not
+    # silently re-encode stale rows under a manifest claiming the new
     # inputs.  The fingerprint is stored in each stage's _SUCCESS meta.
     def _check_stale(stage_dir: str, stage: str) -> None:
         if not (resume and mf.is_complete(stage_dir)):
@@ -286,7 +320,7 @@ def merge_indexes(
             prev = ""
         if prev and prev != fingerprint:
             raise ValueError(
-                f"resume requested at {out_dir} but its {stage} was merged from "
+                f"resume requested at {out_dir} but its {stage} came from "
                 f"different inputs (fingerprint {prev!r} != {fingerprint!r}); "
                 "use a fresh out_dir or resume=False"
             )
@@ -294,7 +328,7 @@ def merge_indexes(
     _check_stale(docs_dir, "docs table")
     _check_stale(ckpt, "checkpoint")
 
-    # ---- merged docs table (offset ids, one union write)
+    # ---- docs table: survivors of every input, offset ids, one union write
     if not (resume and mf.is_complete(docs_dir)):
         if os.path.isdir(docs_dir):
             shutil.rmtree(docs_dir)
@@ -302,13 +336,8 @@ def merge_indexes(
         for d, off, tomb in zip(index_dirs, offsets, tombs):
 
             def shift(t: pa.Table, off=off, tomb=tomb) -> pa.Table:
+                t = _drop_ids(t, tomb)
                 ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                if len(tomb) and len(ids):
-                    # compact tombstoned docs out of the union (local ids)
-                    pos = np.minimum(np.searchsorted(tomb, ids), len(tomb) - 1)
-                    keep = ~(tomb[pos] == ids)
-                    t = t.filter(pa.array(keep))
-                    ids = ids[keep]
                 return t.set_column(
                     t.schema.get_field_index("doc_id"),
                     "doc_id",
@@ -325,16 +354,17 @@ def merge_indexes(
         ds.write_parquet(docs_dir)
         mf.mark_complete(docs_dir, {"fingerprint": fingerprint})
 
-    stats = (
+    agg = (
         rd.read_parquet(docs_dir, columns=["doc_id", "dl"])
         .aggregate(Count(), Sum("dl"), Max("doc_id"))
     ) or {}
-    n_docs = int(stats.get("count()") or 0)
-    sum_dl = int(stats.get("sum(dl)") or 0)
-    max_doc_id = int(stats["max(doc_id)"]) + 1 if n_docs else 0
+    n_docs = int(agg.get("count()") or 0)
+    sum_dl = int(agg.get("sum(dl)") or 0)
+    max_doc_id = int(agg["max(doc_id)"]) + 1 if n_docs else 0
     d_avr = (sum_dl / (n_docs - 1)) if n_docs > 1 else float(sum_dl)  # quirk Q6
+    _lap("docs_and_stats")
 
-    # ---- checkpoint: decode every (index, partition) in parallel, write
+    # ---- checkpoint: decode every (input, partition) in parallel, write
     # hive-partitioned (rows already carry partition=p -> zero shuffle)
     if not (resume and mf.is_complete(ckpt)):
         if os.path.isdir(ckpt):
@@ -343,29 +373,21 @@ def merge_indexes(
             ray.put(DocTable.load(os.path.join(d, DOCS_DIR), m.max_doc_id).dl)
             for d, m in zip(index_dirs, mans)
         ]
+        tomb_refs = [ray.put(t + o) for t, o in zip(tombs, offsets)]
         items = [
             {"index_i": i, "pid": pid}
             for i in range(len(index_dirs))
             for pid in range(p)
         ]
-        tomb_refs = (
-            [ray.put(t + o) for t, o in zip(tombs, offsets)]
-            if any(len(t) for t in tombs)
-            else None
-        )
         rd.from_items(items).map_batches(
-            _DecodePartition(
-                index_dirs, offsets, dl_refs,
-                [{"block_max": m.block_max, "max_doc_id": m.max_doc_id} for m in mans],
-                tomb_refs,
-            ),
+            _DecodePartition(index_dirs, offsets, dl_refs, bm, tomb_refs),
             batch_format="pyarrow",
             batch_size=1,
         ).write_parquet(ckpt, partition_cols=["partition"])
         mf.mark_complete(ckpt, {"fingerprint": fingerprint})
+    _lap("decode_ckpt")
 
-    # ---- re-encode each partition with the UNION stats (normal phase 3)
-    t0 = time.perf_counter()
+    # ---- re-encode each partition with the new stats (normal phase 3)
     builder = BuildPartition(
         out_dir, ckpt, n_docs, d_avr, bm,
         resume=resume, ckpt_token=fingerprint,
@@ -378,6 +400,7 @@ def merge_indexes(
     partitions = {
         str(r["partition"]): json.loads(r["metrics"]) for r in metrics_rows
     }
+    _lap("encode")
 
     man = IndexManifest(
         n_docs=n_docs,
@@ -392,187 +415,35 @@ def merge_indexes(
             "total_postings": sum(q.get("rows", 0) for q in partitions.values()),
             "distinct_terms": sum(q.get("n_terms", 0) for q in partitions.values()),
             "index_bytes": sum(q.get("blob_bytes", 0) for q in partitions.values()),
-            "merged_from": index_dirs,
-            "merge_encode_s": round(time.perf_counter() - t0, 3),
+            **stats,
+            "phase_seconds": phase_s,
         },
     )
     man.save(out_dir)
     return man
 
 
-class _DeletePartition:
-    """Task: partition id -> FILTERED posting rows for the checkpoint.
-
-    Tombstoned doc_ids ride the object store once as a sorted array
-    (``ray.put``); each task decodes its partition and drops their
-    postings with one vectorized membership probe.  Kept docs keep their
-    ORIGINAL ids (stable external references; doc-id density is not
-    assumed anywhere — dl lookups stay index-by-id)."""
-
-    def __init__(self, index_dir, dl_ref, tomb_ref, man):
-        self.index_dir = index_dir
-        self.dl_ref = dl_ref
-        self.tomb_ref = tomb_ref
-        self.man = man
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        dl = ray.get(self.dl_ref)
-        tomb = ray.get(self.tomb_ref)
-        out = []
-        for j in range(batch.num_rows):
-            pid = batch["pid"][j].as_py()
-            t = _partition_posting_rows(self.index_dir, pid, 0, dl, self.man)
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(tomb, ids)
-            pos = np.minimum(pos, max(len(tomb) - 1, 0))
-            dead = (tomb[pos] == ids) if len(tomb) else np.zeros(len(ids), bool)
-            out.append(t.filter(pa.array(~dead)))
-        return pa.concat_tables(out)
+def _read_tombstones(index_dir: str) -> np.ndarray:
+    """The sorted ids ``mark_deleted`` recorded for ``index_dir``."""
+    path = os.path.join(index_dir, "tombstones.bin")
+    if os.path.exists(path):
+        return np.fromfile(path, dtype=np.int64)
+    return np.empty(0, np.int64)
 
 
-def delete_docs(
-    index_dir: str,
-    tombstones,
-    out_dir: str,
-    *,
-    resume: bool = True,
-) -> IndexManifest:
-    """Tombstone deletion + compaction: remove ``tombstones`` (iterable of
-    doc_ids) from ``index_dir`` WITHOUT re-tokenizing the corpus, into
-    ``out_dir`` — byte-identical to ``build_index`` over the filtered
-    corpus (asserted by ``tests/test_merge.py``), because phase 3 is
-    deterministic given (partition rows, n_docs, d_avr) and both paths
-    see the same filtered rows and recomputed stats.
-
-    Shape: one decode+filter task per partition (embarrassingly
-    parallel, zero shuffles — filtered rows keep their partition), docs
-    table filtered in one streaming pass, then the normal phase-3
-    re-encode with the post-delete BM25 stats.  Cost is proportional to
-    the INDEX size, not the corpus text."""
-    import ray
-    import shutil
-
-    man = IndexManifest.load(index_dir)
-    p = man.num_partitions
-    tomb = np.unique(np.asarray(sorted(set(int(t) for t in tombstones)),
-                                dtype=np.int64))
-
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, CKPT_DIR)
-    docs_dir = os.path.join(out_dir, DOCS_DIR)
-    if not resume:
-        for sub in (CKPT_DIR, DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
-            pth = os.path.join(out_dir, sub)
-            if os.path.isdir(pth):
-                shutil.rmtree(pth)
-    import hashlib
-
-    # md5, not hash(): Python's bytes hash is salted per process, which
-    # would break resume fingerprints across runs
-    tomb_digest = hashlib.md5(tomb.tobytes()).hexdigest()[:16]
-    fingerprint = (
-        f"delete:{index_dir}:{man.input_fingerprint}:{man.n_docs}"
-        f":{tomb_digest}"
-    )
-
-    def _check_stale(stage_dir: str, stage: str) -> None:
-        if not (resume and mf.is_complete(stage_dir)):
-            return
-        try:
-            prev = json.load(open(mf.marker_path(stage_dir))).get("fingerprint", "")
-        except (OSError, ValueError):
-            prev = ""
-        if prev and prev != fingerprint:
-            raise ValueError(
-                f"resume requested at {out_dir} but its {stage} came from a "
-                f"different delete (fingerprint {prev!r} != {fingerprint!r}); "
-                "use a fresh out_dir or resume=False"
-            )
-
-    _check_stale(docs_dir, "docs table")
-    _check_stale(ckpt, "checkpoint")
-
-    # ---- filtered docs table (original ids kept)
-    if not (resume and mf.is_complete(docs_dir)):
-        if os.path.isdir(docs_dir):
-            shutil.rmtree(docs_dir)
-        tomb_ref = ray.put(tomb)
-
-        def drop(t: pa.Table) -> pa.Table:
-            tb = ray.get(tomb_ref)
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            pos = np.minimum(np.searchsorted(tb, ids), max(len(tb) - 1, 0))
-            dead = (tb[pos] == ids) if len(tb) else np.zeros(len(ids), bool)
-            return t.filter(pa.array(~dead))
-
-        rd.read_parquet(
-            os.path.join(index_dir, DOCS_DIR), columns=["doc_id", "dl", "url"]
-        ).map_batches(drop, batch_format="pyarrow").write_parquet(docs_dir)
-        mf.mark_complete(docs_dir, {"fingerprint": fingerprint})
-
-    stats = (
-        rd.read_parquet(docs_dir, columns=["doc_id", "dl"])
-        .aggregate(Count(), Sum("dl"), Max("doc_id"))
-    ) or {}
-    n_docs = int(stats.get("count()") or 0)
-    sum_dl = int(stats.get("sum(dl)") or 0)
-    max_doc_id = int(stats["max(doc_id)"]) + 1 if n_docs else 0
-    d_avr = (sum_dl / (n_docs - 1)) if n_docs > 1 else float(sum_dl)  # quirk Q6
-
-    # ---- checkpoint: decode + filter each partition in parallel
-    if not (resume and mf.is_complete(ckpt)):
-        if os.path.isdir(ckpt):
-            shutil.rmtree(ckpt)
-        dl_ref = ray.put(
-            DocTable.load(os.path.join(index_dir, DOCS_DIR), man.max_doc_id).dl
+def _checked_doc_ids(doc_ids, max_doc_id: int, who: str) -> np.ndarray:
+    """``doc_ids`` as a sorted unique int64 array; raises ``ValueError``
+    if any lies outside ``[0, max_doc_id)``.  Such an id could never match
+    a posting, yet it would inflate ``n_tombstones``, perturb the resume
+    fingerprint and persist in ``tombstones.bin`` with no effect."""
+    ids = np.unique(np.fromiter((int(d) for d in doc_ids), dtype=np.int64))
+    bad = ids[(ids < 0) | (ids >= max_doc_id)]
+    if len(bad):
+        raise ValueError(
+            f"{who}: doc_ids outside [0, {max_doc_id}): "
+            f"{bad[:10].tolist()}{'...' if len(bad) > 10 else ''}"
         )
-        tomb_ref = ray.put(tomb)
-        rd.from_items([{"pid": pid} for pid in range(p)]).map_batches(
-            _DeletePartition(
-                index_dir, dl_ref, tomb_ref,
-                {"block_max": man.block_max, "max_doc_id": man.max_doc_id},
-            ),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).write_parquet(ckpt, partition_cols=["partition"])
-        mf.mark_complete(ckpt, {"fingerprint": fingerprint})
-
-    # ---- re-encode with the post-delete stats (normal phase 3)
-    t0 = time.perf_counter()
-    builder = BuildPartition(
-        out_dir, ckpt, n_docs, d_avr, man.block_max,
-        resume=resume, ckpt_token=fingerprint,
-    )
-    metrics_rows = (
-        rd.from_items([{"pid": q} for q in range(p)])
-        .map_batches(builder, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
-    partitions = {
-        str(r["partition"]): json.loads(r["metrics"]) for r in metrics_rows
-    }
-    out_man = IndexManifest(
-        n_docs=n_docs,
-        sum_dl=sum_dl,
-        d_avr=d_avr,
-        max_doc_id=max_doc_id,
-        num_partitions=p,
-        block_max=man.block_max,
-        input_fingerprint=fingerprint,
-        partitions=partitions,
-        stats={
-            "total_postings": sum(q.get("rows", 0) for q in partitions.values()),
-            "distinct_terms": sum(q.get("n_terms", 0) for q in partitions.values()),
-            "index_bytes": sum(q.get("blob_bytes", 0) for q in partitions.values()),
-            "deleted_from": index_dir,
-            "n_tombstones": int(len(tomb)),
-            "delete_encode_s": round(time.perf_counter() - t0, 3),
-        },
-    )
-    out_man.save(out_dir)
-    return out_man
+    return ids
 
 
 def mark_deleted(index_dir: str, doc_ids) -> int:
@@ -583,24 +454,10 @@ def mark_deleted(index_dir: str, doc_ids) -> int:
     modes; global BM25 stats (N, d_avr, df) intentionally still count
     tombstoned docs until a ``delete_docs`` compaction rewrites the
     index — the Lucene live-docs contract, documented on the reader.
-    Returns the total tombstone count after the merge.
-
-    Ids outside ``[0, manifest.max_doc_id)`` are rejected loudly: they
-    could never match a posting, yet would inflate ``n_tombstones``,
-    perturb the merge resume fingerprint, and persist in
-    ``tombstones.bin`` with no effect (round-4 ADVICE item 4)."""
-    new = np.unique(np.asarray(
-        sorted(set(int(d) for d in doc_ids)), dtype=np.int64))
-    if len(new):
-        max_doc = mf.IndexManifest.load(index_dir).max_doc_id
-        bad = new[(new < 0) | (new >= max_doc)]
-        if len(bad):
-            raise ValueError(
-                f"mark_deleted: doc_ids outside [0, {max_doc}): "
-                f"{bad[:10].tolist()}{'...' if len(bad) > 10 else ''}"
-            )
-    path = os.path.join(index_dir, "tombstones.bin")
-    if os.path.exists(path):
-        new = np.union1d(new, np.fromfile(path, dtype=np.int64))
-    mf.atomic_write_bytes(path, new.astype(np.int64).tobytes())
+    Returns the total tombstone count after the merge.  Ids outside
+    ``[0, manifest.max_doc_id)`` are rejected (``_checked_doc_ids``)."""
+    new = _checked_doc_ids(
+        doc_ids, IndexManifest.load(index_dir).max_doc_id, "mark_deleted")
+    new = np.union1d(new, _read_tombstones(index_dir))
+    mf.atomic_write_bytes(os.path.join(index_dir, "tombstones.bin"), new.tobytes())
     return int(len(new))

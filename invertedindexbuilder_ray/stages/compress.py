@@ -25,7 +25,9 @@ decoded on first seek, and a bulk decode from block 0 never reads it.
 Encoding is batched: callers encode a whole partition's postings with
 three vectorized VarByte calls (deltas, tfs, headers) and per-term
 assembly is slicing, so the per-term Python overhead is small.  This
-runs inside the index-build actor pool.
+runs inside the index-build actor pool.  Decoding a whole partition is
+batched the same way (:func:`decode_partition`, used by merge): one
+VarByte call over every list's bytes, no per-list Python.
 """
 
 from __future__ import annotations
@@ -455,3 +457,96 @@ def decode_all_blocks(dl: "DecodedList", from_block: int = 0) -> tuple[np.ndarra
     tfs = vals[~is_delta]
     docs = np.cumsum(deltas) + prev
     return docs, tfs
+
+
+def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices of the concatenated ranges ``[starts[i], starts[i] + lens[i])``."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(int(ends[-1]) if len(ends) else 0)
+
+
+def decode_partition(
+    blob, offsets: np.ndarray, nbytes: np.ndarray, dfs: np.ndarray, *, block_max: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode many lists of one partition blob at once, the inverse of
+    :func:`encode_term_lists` -> (list index per posting, doc_ids, tfs).
+
+    List ``i`` is ``blob[offsets[i] : offsets[i] + nbytes[i]]`` holding
+    ``dfs[i]`` postings; lists may be given in any order, and their
+    postings come back in that order.  One pass for the whole partition:
+    the three header varints of every list are read from an n x 30 byte
+    gather, the block-max float bytes (``block_max``) are cut out, one
+    VarByte decode covers every remaining byte (``3 + 2B + 2 df`` values
+    per list), the per-block ``[deltas(m) tfs(m)]`` runs are separated
+    by index arithmetic, and a per-list segmented cumsum restores
+    absolute doc ids (every list starts from its absolute first id).
+    """
+    buf = np.asarray(blob, dtype=np.uint8)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    nbytes = np.asarray(nbytes, dtype=np.int64)
+    dfs = np.asarray(dfs, dtype=np.int64)
+    n = len(offsets)
+    if n == 0 or int(dfs.sum()) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    n_blocks = -(-dfs // BLOCK_SIZE)
+
+    # ---- headers: df, ldoc_table_nbytes, bsize_table_nbytes of every list
+    head = np.zeros((n, _HEADER_MAX), dtype=np.uint8)
+    limit = np.minimum(offsets + nbytes, len(buf))
+    for k in range(_HEADER_MAX):
+        inside = offsets + k < limit
+        head[inside, k] = buf[offsets[inside] + k]
+    ends_seen = np.cumsum(head >= 0x80, axis=1, dtype=np.int8)
+    if (ends_seen[:, -1] < 3).any():
+        raise ValueError("list header truncated: fewer than 3 varints")
+    in_header = (ends_seen - (head >= 0x80)) < 3
+    hvals, _ = varbyte.decode(head[in_header])
+    hvals = hvals.reshape(n, 3)
+    if (hvals[:, 0] != dfs).any():
+        bad = int(np.flatnonzero(hvals[:, 0] != dfs)[0])
+        raise ValueError(f"list {bad}: header df {hvals[bad, 0]} != expected {dfs[bad]}")
+
+    # ---- the bytes to decode: each list minus its block-max float section
+    if block_max:
+        table_end = in_header.sum(axis=1) + hvals[:, 1] + hvals[:, 2]
+        float_nbytes = 4 * n_blocks
+        starts = np.stack([offsets, offsets + table_end + float_nbytes], axis=1).ravel()
+        lens = np.stack([table_end, nbytes - table_end - float_nbytes], axis=1).ravel()
+        kept = lens.reshape(n, 2).sum(axis=1)
+    else:
+        starts, lens, kept = offsets, nbytes, nbytes
+    if (lens < 0).any() or (offsets + nbytes > len(buf)).any():
+        raise ValueError("posting list byte ranges do not fit their headers / blob")
+    data = buf[_gather_ranges(starts, lens)]
+
+    # every list must hold exactly its own values and end on a terminator
+    n_vals = 3 + 2 * n_blocks + 2 * dfs
+    list_end = np.cumsum(kept)
+    is_end = data >= 0x80
+    if (kept <= 0).any() or not is_end[list_end - 1].all() or (
+        np.diff(np.concatenate([[0], np.cumsum(is_end)[list_end - 1]])) != n_vals
+    ).any():
+        raise ValueError("posting lists do not match their header df / byte sizes")
+    vals, _ = varbyte.decode(data)
+
+    # ---- un-interleave: posting j of a list sits in block b = j // 128;
+    # the b full blocks before it hold 256 values each (its delta is value
+    # 256 b + (j - 128 b) = j + 128 b of the payload), and the block's tf
+    # run follows its m deltas
+    list_of = np.repeat(np.arange(n, dtype=np.int64), dfs)
+    post_start = np.cumsum(dfs) - dfs
+    j = np.arange(len(list_of), dtype=np.int64) - post_start[list_of]
+    b = j // BLOCK_SIZE
+    m = np.minimum(BLOCK_SIZE, dfs[list_of] - BLOCK_SIZE * b)
+    payload = (np.cumsum(n_vals) - n_vals) + 3 + 2 * n_blocks
+    dpos = payload[list_of] + j + BLOCK_SIZE * b
+    deltas = vals[dpos]
+    tfs = vals[dpos + m]
+
+    # ---- segmented cumsum: each list restarts from its absolute first id
+    # (int64 wraparound of the running sum cancels in the subtraction)
+    firsts = post_start[dfs > 0]
+    run = np.cumsum(deltas)
+    docs = run - np.repeat(run[firsts] - deltas[firsts], dfs[dfs > 0])
+    return list_of, docs, tfs

@@ -8,11 +8,14 @@ long-running cluster that is an unbounded disk leak.  ``gc_ckpt_root``
 removes entries whose completion marker (or the directory itself, for
 interrupted writes) is older than ``max_age_days``.
 
-Age comes from the ``_SUCCESS`` marker mtime: every reuse path returns
-without touching the marker, so this is LRU-by-creation, not by use —
-deliberately conservative semantics a caller can reason about (an entry
-created N days ago is gone after N days regardless of traffic; re-create
-is always safe because checkpoints are pure caches keyed by content).
+Age comes from the ``_SUCCESS`` marker mtime, and every reuse path
+bumps it (``manifest.mark_used``): a signature checkpoint returned by
+``minhash_signature_ckpt`` / ``_write_sig_ckpt``, an ANN artifact reused
+by ``ann_build`` or served by ``ann_query_artifact``.  So this is
+least-recently-USED: an entry in daily use is never collected, which
+matters because not every entry can be re-created — a derived
+(chained-ingest) signature checkpoint or an extended ANN artifact has no
+raw source to rebuild from.
 """
 
 from __future__ import annotations

@@ -69,3 +69,9 @@ def is_complete(dir_: str) -> bool:
 
 def mark_complete(dir_: str, meta: dict | None = None) -> None:
     atomic_write_json(marker_path(dir_), meta or {})
+
+
+def mark_used(dir_: str) -> None:
+    """Record a reuse of the complete entry ``dir_``: bump its marker's
+    mtime, which ``state.gc`` ages entries by."""
+    os.utime(marker_path(dir_))

@@ -251,3 +251,34 @@ def test_ann_extend_rejects_overlapping_ids(ray_session, ann_root):
         assert json.load(f)["max_vec_id"] == top + 5
     with pytest.raises(ValueError, match="overlaps"):
         ann_store.ann_extend(d, delta([top + 3]))
+
+
+def test_reuse_keeps_artifact_from_gc(ray_session, ann_root):
+    """GC ages ANN artifacts by last use: ann_build's reuse and
+    ann_query_artifact both bump the _SUCCESS marker of a back-dated
+    artifact, so an artifact in use is not collected."""
+    import json
+    import time
+
+    import numpy as np
+
+    from invertedindexbuilder_ray.pipelines import ann_store
+    from invertedindexbuilder_ray.state import manifest as mf
+    from invertedindexbuilder_ray.state.gc import gc_ckpt_root
+
+    def backdate(d):
+        stale = time.time() - 30 * 86400
+        os.utime(mf.marker_path(d), (stale, stale))
+        assert gc_ckpt_root(ann_root, max_age_days=7, dry_run=True) == [d]
+
+    d = ann_store.ann_build(SF, kind="lsh")
+    backdate(d)
+    assert ann_store.ann_build(SF, kind="lsh") == d
+    assert gc_ckpt_root(ann_root, max_age_days=7, dry_run=True) == []
+
+    backdate(d)
+    with open(os.path.join(d, "meta.json")) as f:
+        dim = json.load(f)["dim"]
+    q = np.ones((1, dim)) / np.sqrt(dim)
+    ann_store.ann_query_artifact(d, np.array([0]), q, top_k=3).take_all()
+    assert gc_ckpt_root(ann_root, max_age_days=7, dry_run=True) == []

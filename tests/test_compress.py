@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +83,115 @@ def test_roundtrip_property(postings):
     got_docs, got_tfs = compress.decode_full(np.frombuffer(enc.blob, np.uint8))
     assert got_docs.tolist() == docs.tolist()
     assert got_tfs.tolist() == tfs.tolist()
+
+
+def _random_partition(rng, n_terms, *, max_df, seg_max=0, big=False, block_max=True):
+    """Encode ``n_terms`` random terms the way BuildPartition does: a term
+    longer than ``seg_max`` postings is cut into independent segment lists.
+    Returns (blob, offsets, nbytes, dfs) with one row per list."""
+    seg_starts, doc_parts, tf_parts, score_dfs = [0], [], [], []
+    id_hi = 2**40 if big else 50_000
+    for _ in range(n_terms):
+        df = int(rng.integers(1, max_df + 1))
+        docs = np.sort(rng.choice(id_hi, size=df, replace=False)).astype(np.int64)
+        if big:
+            docs[0] = max(docs[0], 2**35)
+            docs = np.unique(np.maximum(docs, 2**35 + np.arange(df)))
+            df = len(docs)
+        tfs = rng.integers(1, 2**15 if big else 20, size=df).astype(np.int64)
+        doc_parts.append(docs)
+        tf_parts.append(tfs)
+        n_segs = max(1, -(-df // seg_max)) if seg_max else 1
+        size = -(-df // n_segs)
+        for j in range(n_segs):
+            seg_starts.append(seg_starts[-1] + len(docs[j * size:(j + 1) * size]))
+            score_dfs.append(df)
+    starts = np.array(seg_starts, dtype=np.int64)
+    docs = np.concatenate(doc_parts)
+    tfs = np.concatenate(tf_parts)
+    # n_docs below most dfs: negative idf, so float sign bits (0x80) appear
+    enc = compress.encode_term_lists(
+        [f"t{i}" for i in range(len(starts) - 1)], starts, docs, tfs,
+        doc_lens=rng.integers(1, 300, size=len(docs)).astype(np.float64),
+        n_docs=max_df, d_avr=100.0, block_max=block_max,
+        score_dfs=np.array(score_dfs, dtype=np.int64),
+    )
+    return np.frombuffer(enc.blob, np.uint8), enc.offsets, enc.nbytes, enc.dfs
+
+
+def _check_decode_partition(blob, offsets, nbytes, dfs, block_max):
+    list_of, docs, tfs = compress.decode_partition(
+        blob, offsets, nbytes, dfs, block_max=block_max
+    )
+    assert len(list_of) == len(docs) == len(tfs) == int(dfs.sum())
+    assert (np.diff(list_of) >= 0).all()
+    bounds = np.searchsorted(list_of, np.arange(len(offsets) + 1))
+    for i in range(len(offsets)):
+        want_docs, want_tfs = compress.decode_full(
+            blob[offsets[i] : offsets[i] + nbytes[i]], block_max=block_max
+        )
+        s, e = bounds[i], bounds[i + 1]
+        assert docs[s:e].tolist() == want_docs.tolist(), f"list {i} doc ids"
+        assert tfs[s:e].tolist() == want_tfs.tolist(), f"list {i} tfs"
+
+
+@pytest.mark.parametrize("block_max", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decode_partition_matches_per_list_decode(block_max, seed):
+    rng = np.random.default_rng(seed)
+    # mostly single-block lists plus multi-block ones (df up to 3 blocks + tail)
+    blob, offs, nbs, dfs = _random_partition(rng, 40, max_df=420, block_max=block_max)
+    assert (dfs > compress.BLOCK_SIZE).any() and (dfs <= compress.BLOCK_SIZE).any()
+    if block_max:
+        # the float section must hold bytes that look like varint terminators
+        dl = compress.open_list(blob[offs[int(np.argmax(dfs))]:], block_max=True)
+        p = dl.payload_start - 4 * dl.n_blocks
+        assert (blob[offs[int(np.argmax(dfs))] + p:][: 4 * dl.n_blocks] >= 0x80).any()
+    _check_decode_partition(blob, offs, nbs, dfs, block_max)
+    # lexicon rows handed over out of blob order
+    perm = rng.permutation(len(offs))
+    _check_decode_partition(blob, offs[perm], nbs[perm], dfs[perm], block_max)
+
+
+@pytest.mark.parametrize("block_max", [True, False])
+def test_decode_partition_segments_and_wide_varints(block_max):
+    rng = np.random.default_rng(7)
+    # heavy-hitter segments: every term over 50 postings is split, each
+    # segment restarting from an absolute first id
+    blob, offs, nbs, dfs = _random_partition(
+        rng, 12, max_df=700, seg_max=50, block_max=block_max)
+    assert len(offs) > 12
+    _check_decode_partition(blob, offs, nbs, dfs, block_max)
+    # doc ids >= 2^35 and tfs >= 2^14: 6- and 3-byte varints
+    blob, offs, nbs, dfs = _random_partition(
+        rng, 10, max_df=300, big=True, block_max=block_max)
+    _, docs, tfs = compress.decode_partition(blob, offs, nbs, dfs, block_max=block_max)
+    assert docs.min() >= 2**35 and tfs.max() >= 2**14
+    _check_decode_partition(blob, offs, nbs, dfs, block_max)
+
+
+@pytest.mark.parametrize("df", [1, 128, 129, 300])
+def test_decode_partition_one_list(df):
+    docs = np.arange(df, dtype=np.int64) * 3 + 5
+    tfs = np.arange(df, dtype=np.int64) % 5 + 1
+    enc = _encode_one(docs, tfs, doc_lens=np.full(df, 10.0), n_docs=1000, d_avr=10.0)
+    list_of, got_docs, got_tfs = compress.decode_partition(
+        np.frombuffer(enc.blob, np.uint8), enc.offsets, enc.nbytes, enc.dfs,
+        block_max=True)
+    assert list_of.tolist() == [0] * df
+    assert got_docs.tolist() == docs.tolist() and got_tfs.tolist() == tfs.tolist()
+    empty = compress.decode_partition(np.empty(0, np.uint8), [], [], [], block_max=True)
+    assert all(len(a) == 0 for a in empty)
+
+
+def test_decode_partition_rejects_wrong_df():
+    enc = _encode_one([1, 4, 9], [1, 1, 2], block_max=False)
+    with pytest.raises(ValueError):
+        compress.decode_partition(np.frombuffer(enc.blob, np.uint8), enc.offsets,
+                                  enc.nbytes, enc.dfs + 1, block_max=False)
+    # decoding a block-max list as if it had none cannot line up
+    enc = _encode_one(np.arange(200), np.ones(200, np.int64),
+                      doc_lens=np.full(200, 5.0), n_docs=1000, d_avr=5.0)
+    with pytest.raises(ValueError):
+        compress.decode_partition(np.frombuffer(enc.blob, np.uint8), enc.offsets,
+                                  enc.nbytes, enc.dfs, block_max=False)

@@ -65,6 +65,60 @@ def test_merge_byte_identical_blobs(merged_vs_full):
     assert _lexicon_rows(merged) == _lexicon_rows(full)
 
 
+def test_merge_accounts_phase_seconds(merged_vs_full):
+    """The merge manifest times its own phases, with build_index's key."""
+    _, _, _, man_m = merged_vs_full
+    ph = man_m.stats["phase_seconds"]
+    assert sorted(ph) == ["decode_ckpt", "docs_and_stats", "encode"]
+    assert all(v >= 0 for v in ph.values())
+    assert "merge_encode_s" not in man_m.stats
+
+
+def test_delete_docs_rejects_out_of_range(ray_session, webpages_small, tmp_path):
+    """delete_docs validates ids like mark_deleted: an id outside
+    [0, max_doc_id) raises before anything is written."""
+    from invertedindexbuilder_ray.pipelines.merge import delete_docs
+    from invertedindexbuilder_ray.state.manifest import IndexManifest
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(webpages_small, src / "w.parquet")
+    idx = str(tmp_path / "idx")
+    build_index(load_webpages(str(src)), idx, num_partitions=2)
+    max_doc = IndexManifest.load(idx).max_doc_id
+    for bad in ([0, max_doc], [-1], [max_doc + 10**6]):
+        out = str(tmp_path / f"out{len(bad)}{bad[-1]}")
+        with pytest.raises(ValueError, match="outside"):
+            delete_docs(idx, bad, out)
+        assert not os.path.exists(out)
+    man = delete_docs(idx, [0, max_doc - 1], str(tmp_path / "ok"))
+    assert man.stats["n_tombstones"] == 2
+    assert sorted(man.stats["phase_seconds"]) == ["decode_ckpt", "docs_and_stats", "encode"]
+
+
+def test_delete_docs_keeps_marked_docs_deleted(ray_session, webpages_small, tmp_path):
+    """Docs marked with mark_deleted stay deleted through a delete_docs
+    compaction: the output equals deleting both sets at once."""
+    import shutil
+
+    from invertedindexbuilder_ray.pipelines.merge import delete_docs, mark_deleted
+    from invertedindexbuilder_ray.state.manifest import IndexManifest
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(webpages_small, src / "w.parquet")
+    idx, clean = str(tmp_path / "idx"), str(tmp_path / "clean")
+    build_index(load_webpages(str(src)), idx, num_partitions=2)
+    shutil.copytree(idx, clean)
+    mark_deleted(idx, [3, 4])
+    man = delete_docs(idx, [5], str(tmp_path / "out"))
+    ref = delete_docs(clean, [3, 4, 5], str(tmp_path / "ref"))
+    assert man.n_docs == ref.n_docs == IndexManifest.load(clean).n_docs - 3
+    assert man.stats["n_tombstones"] == 3
+    assert _blob_hashes(str(tmp_path / "out")) == _blob_hashes(str(tmp_path / "ref"))
+    assert _lexicon_rows(str(tmp_path / "out")) == _lexicon_rows(str(tmp_path / "ref"))
+
+
 def test_merge_queries_identical(merged_vs_full):
     full, merged, _, _ = merged_vs_full
     ef, em = QueryEngine(full), QueryEngine(merged)

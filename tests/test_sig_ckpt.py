@@ -218,3 +218,33 @@ def test_derived_fingerprint_never_rebuilds_mislabeled(ray_session, ckpt_root):
         dedup.minhash_signature_ckpt(
             SF, input_fingerprint="somefile:1:2+ingest:abc:501"
         )
+
+
+def test_reuse_keeps_ckpt_from_gc(ray_session, ckpt_root):
+    """GC ages checkpoints by last use: reusing a signature checkpoint
+    (minhash_signature_ckpt, or the roll's _write_sig_ckpt) bumps its
+    _SUCCESS marker, so a back-dated entry in use is not collected."""
+    import json
+    import time
+
+    from invertedindexbuilder_ray.pipelines import dedup
+    from invertedindexbuilder_ray.state import manifest as mf
+    from invertedindexbuilder_ray.state.gc import gc_ckpt_root
+
+    def backdate(d):
+        stale = time.time() - 30 * 86400
+        os.utime(mf.marker_path(d), (stale, stale))
+        assert gc_ckpt_root(ckpt_root, max_age_days=7, dry_run=True) == [d]
+
+    d = dedup.minhash_signature_ckpt(SF)
+    backdate(d)
+    assert dedup.minhash_signature_ckpt(SF) == d
+    assert gc_ckpt_root(ckpt_root, max_age_days=7, dry_run=True) == []
+
+    backdate(d)
+    with open(mf.marker_path(d)) as f:
+        fp = json.load(f)["fingerprint"]
+    # the roll writes through _write_sig_ckpt; a complete entry is reused
+    assert dedup._write_sig_ckpt(
+        None, fp, num_perm=64, k=3, ckpt_root=ckpt_root) == d
+    assert gc_ckpt_root(ckpt_root, max_age_days=7, dry_run=True) == []
