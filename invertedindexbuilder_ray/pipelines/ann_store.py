@@ -247,7 +247,8 @@ def ann_extend(
     updated with the new count and a chained fingerprint.  Queries served
     afterwards see old + new vectors; the quantizer is never re-derived
     (the standard IVF "add" contract — rebuild via ann_build when list
-    skew warrants it).
+    skew warrants it).  The report's ``bucket_max`` / ``bucket_mean``
+    (vectors per non-empty bucket, after the extend) measure that skew.
 
     vec_ids are append-only: every new id must be distinct and greater
     than the artifact's ``max_vec_id`` (recorded in ``meta.json``;
@@ -316,7 +317,25 @@ def ann_extend(
     marker["fingerprint"] = f"{marker.get('fingerprint', '')}+extend:{n_new}"
     mf.atomic_write_json(os.path.join(artifact_dir, "meta.json"), meta)
     mf.atomic_write_json(mf.marker_path(artifact_dir), marker)
-    return {"artifact": artifact_dir, "n_added": int(n_new), "n_total": meta["n"]}
+    occ = _bucket_occupancy(artifact_dir)
+    return {
+        "artifact": artifact_dir,
+        "n_added": int(n_new),
+        "n_total": meta["n"],
+        "bucket_max": int(occ.max()) if len(occ) else 0,
+        "bucket_mean": float(occ.mean()) if len(occ) else 0.0,
+    }
+
+
+def _bucket_occupancy(d: str) -> np.ndarray:
+    """Vectors per non-empty bucket under the artifact's ``assign/``: the
+    skew (max / mean) a frozen quantizer accumulates as extends land."""
+    import pyarrow.dataset as pads
+
+    b = pads.dataset(
+        os.path.join(d, "assign"), format="parquet", partitioning="hive"
+    ).to_table(columns=["bucket"])["bucket"].to_numpy()
+    return np.unique(b, return_counts=True)[1]
 
 
 def ann_mark_deleted(artifact_dir: str, vec_ids) -> int:

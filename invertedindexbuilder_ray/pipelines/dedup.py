@@ -14,7 +14,11 @@ per-bucket loss as a distributed pass.  The exact pipeline
 
 from __future__ import annotations
 
+import json
 import logging
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pandas as pd
@@ -26,6 +30,7 @@ from ..functions import sketch
 from ..functions.rounding import round_half_away
 from ..sources.documents import load_documents
 from ..sources.util import read_parquet_sized
+from ..state import manifest as mf
 
 logger = logging.getLogger(__name__)
 
@@ -216,11 +221,6 @@ def minhash_signature_ckpt(
     reproduce that content, so when no complete checkpoint exists under
     the derived label this RAISES instead of silently building mislabeled
     signatures (would forget prior survivors forever)."""
-    import json
-    import os
-
-    from ..state import manifest as mf
-
     derived = False
     if isinstance(source, str):
         from .build import _fingerprint
@@ -237,15 +237,8 @@ def minhash_signature_ckpt(
             "(path sources fingerprint from file stat automatically)"
         )
     d = _sig_ckpt_dir(input_fingerprint, num_perm, k, ckpt_root)
-    if mf.is_complete(d):
-        try:
-            with open(mf.marker_path(d)) as f:
-                meta = json.load(f)
-        except (OSError, ValueError):
-            meta = {}
-        if meta.get("fingerprint") == input_fingerprint:
-            mf.mark_used(d)
-            return d
+    if _reuse_sig_ckpt(d, input_fingerprint):
+        return d
     if derived:
         raise RuntimeError(
             "minhash_signature_ckpt: no checkpoint exists for the derived "
@@ -288,22 +281,9 @@ def _write_sig_ckpt(
 ) -> str:
     """Write a (doc_id, sig) dataset as the checkpoint for ``fingerprint``
     (wipes any stale/interrupted dir first, marks complete after)."""
-    import os
-    import shutil
-
-    from ..state import manifest as mf
-
-    import json
-
     d = _sig_ckpt_dir(fingerprint, num_perm, k, ckpt_root)
-    if mf.is_complete(d):
-        try:
-            with open(mf.marker_path(d)) as f:
-                if json.load(f).get("fingerprint") == fingerprint:
-                    mf.mark_used(d)
-                    return d
-        except (OSError, ValueError):
-            pass
+    if _reuse_sig_ckpt(d, fingerprint):
+        return d
     if os.path.isdir(d):  # stale or interrupted write: wipe and rebuild
         shutil.rmtree(d)
     sigs.write_parquet(d)
@@ -313,26 +293,191 @@ def _write_sig_ckpt(
     return d
 
 
+def _reuse_sig_ckpt(d: str, fingerprint: str) -> bool:
+    """True (and the entry's use recorded for GC) when ``d`` is a complete
+    checkpoint written for ``fingerprint``."""
+    if not mf.is_complete(d):
+        return False
+    try:
+        with open(mf.marker_path(d)) as f:
+            if json.load(f).get("fingerprint") != fingerprint:
+                return False
+    except (OSError, ValueError):
+        return False
+    mf.mark_used(d)
+    return True
+
+
+def _sig_parts(ckpt_dir: str) -> list[str]:
+    """The checkpoint's (doc_id, sig) parquet parts.  Listed explicitly:
+    the dir also holds band runs, which a recursive parquet read of the
+    whole dir would pick up."""
+    return sorted(
+        os.path.join(ckpt_dir, f)
+        for f in os.listdir(ckpt_dir)
+        if f.endswith(".parquet") and not f.startswith((".", "_"))
+    )
+
+
 def _read_sig_ckpt(ckpt_dir: str) -> rd.Dataset:
     """Parquet-backed signature dataset, block count sized to the data."""
-    import os
-
-    sz = sum(
-        os.path.getsize(os.path.join(ckpt_dir, f))
-        for f in os.listdir(ckpt_dir)
-        if f.endswith(".parquet")
-    )
     from ..sources.util import TARGET_BLOCK_BYTES
 
+    parts = _sig_parts(ckpt_dir)
+    sz = sum(os.path.getsize(p) for p in parts)
     nb = int(min(2048, max(4, -(-sz // TARGET_BLOCK_BYTES))))
     return rd.read_parquet(
-        ckpt_dir, columns=["doc_id", "sig"], override_num_blocks=nb
+        parts, columns=["doc_id", "sig"], override_num_blocks=nb
     )
 
 
-def _explode_bands(
-    batch: pa.Table, *, bands: int, num_perm: int, carry: str | None = None
-) -> pa.Table:
+# ---------------------------------------------------------------------------
+# Frozen LSH band-key runs (the delta probe's build side)
+#
+# Next to its (doc_id, sig) parts a signature checkpoint keeps, per
+# ``bands`` value, the corpus band keys as sorted runs:
+# ``bands<B>/run-<seq>.npy``, each a (2, n) int64 array of (band_key,
+# doc_id) rows ordered by band_key then doc_id, built by
+# ``_explode_bands`` so every key is the int64 the all-to-all path groups
+# by.  ``minhash_pairs_delta`` explodes only the delta and takes each
+# run's rows for the delta's keys by binary search; the roll adds one run
+# per delta (``_roll_sig_ckpt``).
+
+
+def _sig_table(ckpt_dir: str, doc_ids: np.ndarray | None = None) -> pa.Table:
+    """In-process read of the checkpoint's signatures (only ``doc_ids``
+    when given)."""
+    import pyarrow.dataset as pads
+
+    parts = _sig_parts(ckpt_dir)
+    if not parts:
+        return _EMPTY_SIGS
+    flt = None if doc_ids is None else pads.field("doc_id").isin(pa.array(doc_ids, pa.int64()))
+    return pads.dataset(parts, format="parquet").to_table(
+        columns=["doc_id", "sig"], filter=flt
+    )
+
+
+_EMPTY_SIGS = pa.table(
+    {"doc_id": pa.array([], pa.int64()), "sig": pa.array([], pa.binary())}
+)
+
+
+def _collect_sigs(sigs: rd.Dataset) -> pa.Table:
+    """A (small) signature dataset as one in-process table."""
+    return pa.concat_tables(
+        [_EMPTY_SIGS]
+        + [b.select(["doc_id", "sig"]) for b in sigs.iter_batches(batch_format="pyarrow")]
+    )
+
+
+def _band_rows(sigs: pa.Table, *, bands: int, num_perm: int) -> np.ndarray:
+    """(2, n) int64 run rows of ``sigs``: band_key, doc_id, sorted."""
+    t = _explode_bands(sigs, bands=bands, num_perm=num_perm)
+    return _sorted_run(
+        np.stack([t["band_key"].to_numpy(), t["doc_id"].to_numpy()])
+    )
+
+
+def _sorted_run(rows: np.ndarray) -> np.ndarray:
+    return rows[:, np.lexsort((rows[1], rows[0]))]
+
+
+def _runs_dir(ckpt_dir: str, bands: int) -> str:
+    return os.path.join(ckpt_dir, f"bands{bands}")
+
+
+def _run_path(runs_dir: str, seq: int) -> str:
+    return os.path.join(runs_dir, f"run-{seq:06d}.npy")
+
+
+def _band_runs(ckpt_dir: str, *, bands: int, num_perm: int) -> list[str]:
+    """The checkpoint's band runs for ``bands``, oldest first.  A
+    checkpoint written without them (an older layout, or another
+    ``bands``) gets one run derived from its sig parts, in-process, in a
+    temp dir renamed into place, so no reader sees half a run set."""
+    rdir = _runs_dir(ckpt_dir, bands)
+    if not os.path.isdir(rdir):
+        tmp = tempfile.mkdtemp(dir=ckpt_dir, prefix=".bands-")
+        try:
+            rows = _band_rows(_sig_table(ckpt_dir), bands=bands, num_perm=num_perm)
+            if rows.shape[1]:
+                np.save(_run_path(tmp, 0), rows)
+            os.rename(tmp, rdir)
+        except OSError:
+            if not os.path.isdir(rdir):  # lost a race to another deriver: fine
+                raise
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    return sorted(
+        os.path.join(rdir, f) for f in os.listdir(rdir)
+        if f.startswith("run-") and f.endswith(".npy")
+    )
+
+
+def _link(src: str, dst: str) -> None:
+    """Hard link (the new entry owns the file: GC of the source entry
+    leaves it intact); a copy where the filesystem has no hard links."""
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copy2(src, dst)
+
+
+def _roll_sig_ckpt(
+    base: str,
+    fingerprint: str,
+    survivors: pa.Table,
+    *,
+    num_perm: int,
+    k: int,
+    bands: int,
+    ckpt_root: str | None,
+) -> str:
+    """Checkpoint for ``fingerprint`` = ``base`` + ``survivors``, without
+    rewriting the base: its sig parts and ``bands`` runs are hard-linked
+    in (so the entry is self-contained when GC removes ``base``), and the
+    survivors add one sig part and one sorted run.
+
+    Logarithmic method: the new run absorbs the newest older runs while
+    each is at most twice the size it has grown to, so every run is more
+    than twice the next newer one and a chain keeps O(log rows) runs.
+    (Absorbing only runs no larger than the new one would keep one run
+    per delta whenever survivor counts shrink from delta to delta.)"""
+    d = _sig_ckpt_dir(fingerprint, num_perm, k, ckpt_root)
+    if _reuse_sig_ckpt(d, fingerprint):
+        return d
+    runs = _band_runs(base, bands=bands, num_perm=num_perm)
+    if os.path.isdir(d):  # stale or interrupted roll: wipe and redo
+        shutil.rmtree(d)
+    rdir = _runs_dir(d, bands)
+    os.makedirs(rdir)
+    for p in _sig_parts(base):
+        _link(p, os.path.join(d, os.path.basename(p)))
+    if survivors.num_rows:
+        import pyarrow.parquet as pq
+
+        pq.write_table(
+            survivors.select(["doc_id", "sig"]),
+            os.path.join(d, f"sig-{os.path.basename(d)}.parquet"),
+        )
+        merged = [_band_rows(survivors, bands=bands, num_perm=num_perm)]
+        size = merged[0].shape[1]
+        seq = int(os.path.basename(runs[-1])[4:-4]) + 1 if runs else 0
+        while runs and np.load(runs[-1], mmap_mode="r").shape[1] <= 2 * size:
+            merged.append(np.load(runs.pop()))
+            size += merged[-1].shape[1]
+        rows = merged[0] if len(merged) == 1 else _sorted_run(np.concatenate(merged, axis=1))
+        np.save(_run_path(rdir, seq), rows)
+    for p in runs:
+        _link(p, os.path.join(rdir, os.path.basename(p)))
+    mf.mark_complete(
+        d, {"fingerprint": fingerprint, "num_perm": num_perm, "k": k}
+    )
+    return d
+
+
+def _explode_bands(batch: pa.Table, *, bands: int, num_perm: int) -> pa.Table:
     flat, _offs = _binary_rows(batch["sig"])  # zero-copy uint64 view
     sigs = flat.reshape(-1, num_perm)
     bh = sketch.lsh_bands(sigs, bands=bands)
@@ -340,14 +485,12 @@ def _explode_bands(
     doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     with np.errstate(over="ignore"):
         band_key = bh * np.uint64(64) + np.arange(bands, dtype=np.uint64)[None, :]
-    cols = {
-        "band_key": pa.array(band_key.ravel().view(np.int64), pa.int64()),
-        "doc_id": pa.array(np.repeat(doc_ids, bands), pa.int64()),
-    }
-    if carry is not None:
-        cv = batch[carry].to_numpy(zero_copy_only=False)
-        cols[carry] = pa.array(np.repeat(cv, bands), pa.int64())
-    return pa.table(cols)
+    return pa.table(
+        {
+            "band_key": pa.array(band_key.ravel().view(np.int64), pa.int64()),
+            "doc_id": pa.array(np.repeat(doc_ids, bands), pa.int64()),
+        }
+    )
 
 
 N_SHARDS = 64
@@ -409,13 +552,11 @@ def _bucket_pairs(
     )
 
 
-def _minhash_bands_ds(
-    sigs: rd.Dataset, *, bands: int, num_perm: int, carry: str | None = None
-) -> rd.Dataset:
+def _minhash_bands_ds(sigs: rd.Dataset, *, bands: int, num_perm: int) -> rd.Dataset:
     """Band explosion with shard keys: (band_key, shard, doc_id) rows."""
 
     def explode_with_shard(b: pa.Table) -> pa.Table:
-        t = _explode_bands(b, bands=bands, num_perm=num_perm, carry=carry)
+        t = _explode_bands(b, bands=bands, num_perm=num_perm)
         shard = (
             t["band_key"].to_numpy(zero_copy_only=False).view(np.uint64)
             % np.uint64(N_SHARDS)
@@ -655,24 +796,7 @@ def _verify_minhash_pairs(
 
         def verify_bcast(batch: pa.Table) -> pa.Table:
             sids, smat = ray.get(ref)
-            da = batch["doc_a"].to_numpy(zero_copy_only=False)
-            db = batch["doc_b"].to_numpy(zero_copy_only=False)
-            sa = smat[np.searchsorted(sids, da)]
-            sb = smat[np.searchsorted(sids, db)]
-            est = (sa == sb).mean(axis=1)
-            keep = est >= threshold
-            return pa.table(
-                {
-                    "doc_a": pa.array(da[keep], pa.int64()),
-                    "doc_b": pa.array(db[keep], pa.int64()),
-                    "est_jaccard": pa.array(
-                        round_half_away(est[keep], 6), pa.float64()
-                    ),
-                    "n_bands": batch["n_bands"]
-                    .filter(pa.array(keep))
-                    .cast(pa.int64()),
-                }
-            )
+            return _verify_gathered(batch, sids, smat, threshold=threshold)
 
         return pairs.map_batches(verify_bcast, batch_format="pyarrow")
 
@@ -690,33 +814,64 @@ def _verify_minhash_pairs(
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "est_jaccard": pa.array([], pa.float64()),
-                    "n_bands": pa.array([], pa.int64()),
-                }
-            )
+            return _VERIFIED_SCHEMA.empty_table()
         cols = batch.column_names
         sig_a_col = "sig" if "sig" in cols else "sig_a"
         sig_b_col = "sig_b" if "sig_b" in cols else [c for c in cols if c.startswith("sig")][-1]
         fa, _ = _binary_rows(batch[sig_a_col])
         fb, _ = _binary_rows(batch[sig_b_col])
-        sa = fa.reshape(batch.num_rows, -1)
-        sb = fb.reshape(batch.num_rows, -1)
-        est = (sa == sb).mean(axis=1)
-        keep = est >= threshold
-        return pa.table(
-            {
-                "doc_a": batch["doc_a"].filter(pa.array(keep)).cast(pa.int64()),
-                "doc_b": batch["doc_b"].filter(pa.array(keep)).cast(pa.int64()),
-                "est_jaccard": pa.array(round_half_away(est[keep], 6), pa.float64()),
-                "n_bands": batch["n_bands"].filter(pa.array(keep)).cast(pa.int64()),
-            }
+        return _verified(
+            batch,
+            fa.reshape(batch.num_rows, num_perm),
+            fb.reshape(batch.num_rows, num_perm),
+            threshold=threshold,
         )
 
     return j2.map_batches(verify, batch_format="pyarrow")
+
+
+def _verify_gathered(
+    pairs: pa.Table, sids: np.ndarray, smat: np.ndarray, *, threshold: float
+) -> pa.Table:
+    """Verify (doc_a, doc_b, n_bands) rows against the signature matrix
+    ``smat`` whose rows belong to the sorted ids ``sids``."""
+    da = pairs["doc_a"].to_numpy(zero_copy_only=False)
+    db = pairs["doc_b"].to_numpy(zero_copy_only=False)
+    return _verified(
+        pairs,
+        smat[np.searchsorted(sids, da)],
+        smat[np.searchsorted(sids, db)],
+        threshold=threshold,
+    )
+
+
+def _verified(
+    pairs: pa.Table, sa: np.ndarray, sb: np.ndarray, *, threshold: float
+) -> pa.Table:
+    """THE MinHash verify: signature agreement as est_jaccard, kept at or
+    above ``threshold``, rounded half away from zero to 6 places."""
+    est = (sa == sb).mean(axis=1)
+    keep = est >= threshold
+    mask = pa.array(keep)
+    return pa.table(
+        {
+            "doc_a": pairs["doc_a"].filter(mask).cast(pa.int64()),
+            "doc_b": pairs["doc_b"].filter(mask).cast(pa.int64()),
+            "est_jaccard": pa.array(round_half_away(est[keep], 6), pa.float64()),
+            "n_bands": pairs["n_bands"].filter(mask).cast(pa.int64()),
+        },
+        schema=_VERIFIED_SCHEMA,
+    )
+
+
+_VERIFIED_SCHEMA = pa.schema(
+    [
+        ("doc_a", pa.int64()),
+        ("doc_b", pa.int64()),
+        ("est_jaccard", pa.float64()),
+        ("n_bands", pa.int64()),
+    ]
+)
 
 
 def minhash_pairs_delta(
@@ -730,69 +885,95 @@ def minhash_pairs_delta(
     corpus_fingerprint: str = "",
     ckpt_root: str | None = None,
     delta_sigs: rd.Dataset | None = None,
+    probe_stats: dict | None = None,
 ) -> rd.Dataset:
     """Incremental dedup: near-dup pairs CREATED by ingesting ``delta``
     into an already-deduped corpus — delta-vs-corpus plus delta-vs-delta,
     never corpus-vs-corpus (those pairs already exist in the corpus's own
-    pair set and are dropped inside ``_bucket_pairs`` before any shuffle).
+    pair set).
 
-    The corpus side comes from the durable signature checkpoint
-    (``minhash_signature_ckpt``) — the dedup-tier analog of the index's
-    ``extend_index`` (merge.py rolling ingestion): sketch COMPUTE is
-    O(|delta|); the corpus contributes only a parquet scan of its
-    (doc_id, sig) table (no tokenization, no shingling, durable across
-    sessions).  Requires corpus and delta doc_ids to be disjoint (the
-    standard ingest contract; same as extend_index).
+    The corpus side is the durable signature checkpoint
+    (``minhash_signature_ckpt``) and its frozen band-key runs: sketch and
+    banding work is O(|delta|), and the corpus contributes only the run
+    rows that share a band key with the delta, found by binary search
+    (a build-once / probe-many join; nothing is re-banded or shuffled).
+    Those rows plus the delta's go through ``_bucket_pairs`` and the
+    n_bands count in-process, so MAX_BUCKET truncation and the
+    corpus/corpus filter act on exactly the buckets the all-to-all
+    banding of corpus + delta would give; the candidates are verified
+    against their own signatures by ``_verified``.  The pair set equals
+    ``minhash_dedup_pairs(corpus ∪ delta)`` restricted to pairs that
+    touch the delta.  Requires corpus and delta doc_ids to be disjoint
+    (the standard ingest contract; same as extend_index).
+
+    ``probe_stats``, when given, is filled with the probe's work counts:
+    ``delta_keys``, ``run_rows`` (rows of each band run probed, oldest
+    first), ``corpus_rows`` read from them, and ``candidates`` /
+    ``verified`` pairs before and after verification.
 
     Output: (doc_a, doc_b, est_jaccard, n_bands) with doc_a < doc_b,
     est_jaccard >= threshold.
     """
-    corpus_sigs = _read_sig_ckpt(
-        minhash_signature_ckpt(
-            corpus,
-            num_perm=num_perm,
-            k=k,
-            ckpt_root=ckpt_root,
-            input_fingerprint=corpus_fingerprint,
-        )
+    ckpt = minhash_signature_ckpt(
+        corpus,
+        num_perm=num_perm,
+        k=k,
+        ckpt_root=ckpt_root,
+        input_fingerprint=corpus_fingerprint,
     )
     if delta_sigs is None:
-        delta_sigs = minhash_signature_ds(delta, num_perm=num_perm, k=k).materialize()
-
-    def tag(flag: int):
-        def add(b: pa.Table) -> pa.Table:
-            return b.append_column(
-                "is_delta", pa.array(np.full(b.num_rows, flag, np.int64))
-            )
-
-        return add
-
-    tagged = corpus_sigs.map_batches(tag(0), batch_format="pyarrow").union(
-        delta_sigs.map_batches(tag(1), batch_format="pyarrow")
+        delta_sigs = minhash_signature_ds(delta, num_perm=num_perm, k=k)
+    dsig = _collect_sigs(delta_sigs)
+    drows = _explode_bands(dsig, bands=bands, num_perm=num_perm)
+    dkeys = drows["band_key"].to_numpy()
+    ukeys = np.unique(dkeys)
+    keys, ids, run_rows = [dkeys], [drows["doc_id"].to_numpy()], []
+    for path in _band_runs(ckpt, bands=bands, num_perm=num_perm):
+        run = np.load(path, mmap_mode="r")
+        lo = np.searchsorted(run[0], ukeys, "left")
+        hi = np.searchsorted(run[0], ukeys, "right")
+        take = np.repeat(lo, hi - lo) + _ranges(hi - lo)
+        keys.append(np.asarray(run[0][take]))
+        ids.append(np.asarray(run[1][take]))
+        run_rows.append(int(run.shape[1]))
+    n_corpus = sum(len(x) for x in ids[1:])
+    frame = pd.DataFrame(
+        {
+            "band_key": np.concatenate(keys),
+            "doc_id": np.concatenate(ids),
+            "is_delta": np.repeat(np.array([1, 0], np.int64), [len(dkeys), n_corpus]),
+        }
     )
-    bands_ds = _minhash_bands_ds(
-        tagged, bands=bands, num_perm=num_perm, carry="is_delta"
-    )
-    raw = bands_ds.groupby("shard").map_groups(
-        lambda g: _bucket_pairs(g, key="band_key", flag_col="is_delta"),
-        batch_format="pandas",
-    )
-    pairs = _sharded_groupby(
-        raw,
-        ["doc_a", "doc_b"],
-        lambda g: g.groupby(["doc_a", "doc_b"], as_index=False)
+    cand = (
+        _bucket_pairs(frame, key="band_key", flag_col="is_delta")
+        .groupby(["doc_a", "doc_b"], as_index=False)
         .size()
-        .rename(columns={"size": "n_bands"}),
-        empty_schema=pa.schema(
-            [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("n_bands", pa.int64())]
-        ),
-    ).materialize()  # tiny: new-pair candidates only
-    return _verify_minhash_pairs(
-        pairs,
-        corpus_sigs.union(delta_sigs),
-        num_perm=num_perm,
+        .rename(columns={"size": "n_bands"})
+    )
+    # signatures of every candidate: the delta's in hand, the corpus side
+    # read for the candidate ids only
+    dids = dsig["doc_id"].to_numpy()
+    both = np.unique(np.concatenate([cand["doc_a"].to_numpy(), cand["doc_b"].to_numpy()]))
+    need = np.setdiff1d(both, dids)
+    stbl = pa.concat_tables([dsig, _sig_table(ckpt, need)]) if len(need) else dsig
+    sids = stbl["doc_id"].to_numpy()
+    order = np.argsort(sids)
+    flat, _ = _binary_rows(stbl["sig"])
+    out = _verify_gathered(
+        pa.Table.from_pandas(cand, preserve_index=False),
+        sids[order],
+        flat.reshape(len(sids), num_perm)[order],
         threshold=threshold,
     )
+    if probe_stats is not None:
+        probe_stats.update(
+            delta_keys=int(len(ukeys)),
+            run_rows=run_rows,
+            corpus_rows=int(n_corpus),
+            candidates=int(len(cand)),
+            verified=int(out.num_rows),
+        )
+    return rd.from_arrow(out)
 
 
 SMALL_GRAPH_EDGES = 200_000

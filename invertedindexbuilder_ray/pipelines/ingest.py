@@ -6,15 +6,19 @@ A production crawl loop ingests batches of new pages forever.  Per batch
 it needs exactly this sequence:
 
 1. ``dedup.minhash_pairs_delta`` — near-dup pairs CREATED by the delta
-   (delta-vs-corpus via the durable signature checkpoint: the corpus is
-   never re-sketched; plus delta-vs-delta);
+   (delta-vs-corpus plus delta-vs-delta).  Only the delta is sketched and
+   banded; its band keys probe the signature checkpoint's frozen, sorted
+   band-key runs by binary search, so the corpus is never re-sketched,
+   re-banded or shuffled;
 2. drop the LATER side of every pair (keep-first — corpus docs always
    win over delta docs, earlier delta docs win over later ones);
 3. ``merge.extend_index`` over the surviving delta — byte-identical to
    rebuilding over the concatenated deduped corpus (merge contract);
-4. extend the signature checkpoint with the survivors' signatures so the
-   NEXT delta bands against the updated corpus without re-sketching
-   anything but itself.
+4. roll the signature checkpoint forward with the survivors' signatures
+   so the NEXT delta probes the updated corpus.  The roll writes only the
+   delta: the new checkpoint hard-links the old one's signature parts and
+   band runs and adds one signature part and one band run (which absorbs
+   the newest small runs, keeping O(log) runs; ``dedup._roll_sig_ckpt``).
 
 Contract (the extend_index id discipline): delta doc_ids are globally
 unique and numerically AFTER every corpus id — that makes "later side"
@@ -30,6 +34,9 @@ import pyarrow as pa
 import ray.data as rd
 
 from .dedup import (
+    _EMPTY_SIGS,
+    _collect_sigs,
+    _roll_sig_ckpt,
     minhash_pairs_delta,
     minhash_signature_ckpt,
     minhash_signature_ds,
@@ -55,7 +62,10 @@ def ingest_delta(
     """Dedup ``delta_ds`` against ``corpus_source`` (and itself), extend
     ``index_dir`` with the survivors into ``out_dir``, roll the signature
     checkpoint forward.  Returns a report dict:
-    ``{"manifest", "n_delta", "n_dropped", "dropped_ids", "n_pairs"}``.
+    ``{"manifest", "n_delta", "n_dropped", "dropped_ids", "n_pairs",
+    "corpus_fingerprint", "pairs_probe"}``; ``pairs_probe`` holds the
+    band-run probe's work counts (see ``minhash_pairs_delta``), empty when
+    no probe ran.
 
     ``dedup=False`` skips straight to ``extend_index`` (still returns the
     same report shape with zero drops).
@@ -94,6 +104,7 @@ def ingest_delta(
     dropped_ids = np.empty(0, np.int64)
     n_pairs = 0
     delta_sigs = None
+    probe: dict = {}
     if dedup and n_delta:
         delta_sigs = minhash_signature_ds(
             delta_m, num_perm=num_perm, k=k
@@ -108,6 +119,7 @@ def ingest_delta(
             ckpt_root=ckpt_root,
             corpus_fingerprint=corpus_fingerprint,
             delta_sigs=delta_sigs,
+            probe_stats=probe,
         ).materialize()  # tiny: near-dup pairs only
         n_pairs = pairs.count()
         if n_pairs:
@@ -124,6 +136,10 @@ def ingest_delta(
         hit = (pos < len(dead)) & (dead[np.minimum(pos, len(dead) - 1)] == ids)
         return b.filter(pa.array(~hit))
 
+    survivors = delta_m
+    survivor_sigs = (  # in-process: a delta's signatures are small
+        _collect_sigs(delta_sigs) if delta_sigs is not None else _EMPTY_SIGS
+    )
     if len(dropped_ids):
         import ray
 
@@ -133,14 +149,7 @@ def ingest_delta(
             return drop_dead(b, dead=ray.get(dref))
 
         survivors = delta_m.map_batches(drop, batch_format="pyarrow")
-        survivor_sigs = (
-            delta_sigs.map_batches(drop, batch_format="pyarrow")
-            if delta_sigs is not None
-            else None
-        )
-    else:
-        survivors = delta_m
-        survivor_sigs = delta_sigs
+        survivor_sigs = drop_dead(survivor_sigs, dead=dropped_ids)
 
     man = extend_index(
         index_dir, survivors, out_dir, offset_doc_ids=False, resume=resume
@@ -154,7 +163,7 @@ def ingest_delta(
         # so the next delta reuses it
         next_fp = _extend_sig_ckpt(
             corpus_source, survivor_sigs, out_dir,
-            num_perm=num_perm, k=k, ckpt_root=ckpt_root,
+            num_perm=num_perm, k=k, bands=bands, ckpt_root=ckpt_root,
             corpus_fingerprint=corpus_fingerprint,
         )
     return {
@@ -164,29 +173,31 @@ def ingest_delta(
         "dropped_ids": [int(d) for d in dropped_ids],
         "n_pairs": int(n_pairs),
         "corpus_fingerprint": next_fp,
+        "pairs_probe": probe,
     }
 
 
 def _extend_sig_ckpt(
     corpus_source: str,
-    survivor_sigs: "rd.Dataset | None",
+    survivor_sigs: pa.Table,
     out_dir: str,
     *,
     num_perm: int,
     k: int,
+    bands: int,
     ckpt_root: str | None,
     corpus_fingerprint: str = "",
 ) -> str:
-    """Write corpus-ckpt signatures + the (already-sketched) survivor
-    signatures under a new fingerprint derived from (corpus fingerprint,
-    new index manifest).  Key derivation and the write itself go through
-    dedup's shared helpers (_sig_ckpt_dir/_write_sig_ckpt) so build and
-    roll-forward can never silently diverge.  Returns the NEW fingerprint
-    (chain it into the next ingest_delta)."""
+    """Roll the corpus signature checkpoint forward with the (already
+    sketched) survivor signatures, under a new fingerprint derived from
+    (corpus fingerprint, new index manifest).  Key derivation goes through
+    dedup's shared ``_sig_ckpt_dir`` and the write through
+    ``_roll_sig_ckpt``, which links the base's files and writes only the
+    survivors.  Returns the NEW fingerprint (chain it into the next
+    ingest_delta)."""
     from ..state.manifest import IndexManifest
 
     from .build import _fingerprint
-    from .dedup import _read_sig_ckpt, _write_sig_ckpt
 
     man = IndexManifest.load(out_dir)
     base_fp = corpus_fingerprint or _fingerprint(_corpus_path(corpus_source))
@@ -195,11 +206,9 @@ def _extend_sig_ckpt(
         corpus_source, num_perm=num_perm, k=k, ckpt_root=ckpt_root,
         input_fingerprint=corpus_fingerprint,
     )
-    merged = _read_sig_ckpt(base_ckpt)
-    if survivor_sigs is not None:
-        merged = merged.union(survivor_sigs)
-    _write_sig_ckpt(
-        merged, new_fp, num_perm=num_perm, k=k, ckpt_root=ckpt_root
+    _roll_sig_ckpt(
+        base_ckpt, new_fp, survivor_sigs,
+        num_perm=num_perm, k=k, bands=bands, ckpt_root=ckpt_root,
     )
     return new_fp
 

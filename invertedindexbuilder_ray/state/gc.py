@@ -16,6 +16,11 @@ least-recently-USED: an entry in daily use is never collected, which
 matters because not every entry can be re-created — a derived
 (chained-ingest) signature checkpoint or an extended ANN artifact has no
 raw source to rebuild from.
+
+Entries are self-contained, so removing one never breaks another.  A
+rolled (chained-ingest) signature checkpoint shares its base's sig
+parts and band runs, but through hard links in its own directory: it
+owns those files, and collecting the base only drops the base's names.
 """
 
 from __future__ import annotations

@@ -282,3 +282,29 @@ def test_reuse_keeps_artifact_from_gc(ray_session, ann_root):
     q = np.ones((1, dim)) / np.sqrt(dim)
     ann_store.ann_query_artifact(d, np.array([0]), q, top_k=3).take_all()
     assert gc_ckpt_root(ann_root, max_age_days=7, dry_run=True) == []
+
+
+def test_ann_extend_reports_bucket_skew(ray_session, ann_root):
+    """ann_extend returns max and mean bucket occupancy after the
+    extend; a batch piled into one bucket raises max / mean."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from invertedindexbuilder_ray.pipelines import ann_store, similarity
+
+    d = ann_store.ann_build(SF, kind="ivf")
+    src = similarity._embeddings(SF)
+    one = list(src.limit(1).to_pandas().loc[0, "embedding"])
+
+    def extend(ids, vecs):
+        return ann_store.ann_extend(d, rd.from_arrow(pa.table({
+            "vec_id": pa.array(ids, pa.int64()),
+            "embedding": pa.array(vecs, pa.list_(pa.float32())),
+        })))
+
+    first = extend([1_000_000], [one])
+    assert first["bucket_max"] >= first["bucket_mean"] > 0
+    skewed = extend(list(range(1_000_001, 1_000_401)), [one] * 400)
+    assert skewed["bucket_max"] >= first["bucket_max"] + 400
+    assert (skewed["bucket_max"] / skewed["bucket_mean"]
+            > first["bucket_max"] / first["bucket_mean"])

@@ -187,3 +187,87 @@ def test_ingest_id_discipline_without_neardup(ray_session, ckpt_root, tmp_path):
         ingest_delta(base, SF, bad, str(tmp_path / "o1"))
     with pytest.raises(ValueError, match="id discipline"):
         ingest_delta(base, SF, bad, str(tmp_path / "o2"), dedup=False)
+
+
+def _runs(ckpt_dir):
+    import os
+
+    return sorted(os.listdir(os.path.join(ckpt_dir, "bands16")))
+
+
+def test_ingest_reports_pairs_probe(ray_session, ckpt_root, tmp_path):
+    """The report's ``pairs_probe`` block carries the band-run probe's
+    work counts; candidates before verification bound the final pairs."""
+    from invertedindexbuilder_ray.pipelines.build import build_index
+    from invertedindexbuilder_ray.pipelines.ingest import ingest_delta
+
+    base = str(tmp_path / "base")
+    build_index(_docs_table(), base, num_partitions=2)
+    rows = [(1000, _corpus_text(10)), (1001, NOVEL_A), (1002, NOVEL_A)]
+    rep = ingest_delta(base, SF, _delta_ds(rows), str(tmp_path / "out"))
+    probe = rep["pairs_probe"]
+    assert set(probe) == {
+        "delta_keys", "run_rows", "corpus_rows", "candidates", "verified"
+    }
+    assert rep["n_pairs"] == probe["verified"] >= 2
+    assert probe["candidates"] >= rep["n_pairs"]
+    assert probe["run_rows"] == [500 * 16]  # one run: the base corpus
+    assert 0 < probe["delta_keys"] <= 3 * 16
+    assert 16 <= probe["corpus_rows"] <= probe["run_rows"][0]
+    rep0 = ingest_delta(base, SF, _delta_ds([]), str(tmp_path / "out0"))
+    assert rep0["pairs_probe"] == {}
+
+
+def test_rolled_ckpt_survives_gc_and_old_layout(ray_session, ckpt_root, tmp_path):
+    """A rolled checkpoint owns its files through hard links: after GC
+    removes its base, the next delta's probe and roll still run from it.
+    Band runs removed from every checkpoint (the layout before they
+    existed, a derived chained-ingest entry included) are derived again
+    from the sig parts, and the pairs do not change."""
+    import os
+    import shutil
+    import time
+
+    from invertedindexbuilder_ray.pipelines import dedup
+    from invertedindexbuilder_ray.pipelines.build import build_index
+    from invertedindexbuilder_ray.pipelines.ingest import ingest_delta
+    from invertedindexbuilder_ray.state import manifest as mf
+    from invertedindexbuilder_ray.state.gc import gc_ckpt_root
+
+    base = str(tmp_path / "base")
+    build_index(_docs_table(), base, num_partitions=2)
+    rep1 = ingest_delta(base, SF, _delta_ds([(1000, NOVEL_A)]), str(tmp_path / "o1"))
+    rolled = dedup._sig_ckpt_dir(rep1["corpus_fingerprint"], 64, 3, ckpt_root)
+    (base_ckpt,) = [
+        os.path.join(ckpt_root, d) for d in os.listdir(ckpt_root)
+        if os.path.join(ckpt_root, d) != rolled
+    ]
+    assert _runs(rolled) == ["run-000000.npy", "run-000001.npy"]
+    stale = time.time() - 30 * 86400
+    os.utime(mf.marker_path(base_ckpt), (stale, stale))
+    assert gc_ckpt_root(ckpt_root, max_age_days=7) == [base_ckpt]
+    assert not os.path.exists(base_ckpt)
+
+    delta2 = [(2000, NOVEL_A), (2001, NOVEL_B)]
+    rep2 = ingest_delta(
+        str(tmp_path / "o1"), SF, _delta_ds(delta2), str(tmp_path / "o2"),
+        corpus_fingerprint=rep1["corpus_fingerprint"],
+    )
+    assert rep2["dropped_ids"] == [2000]  # clone of the delta-1 survivor
+    assert rep2["pairs_probe"]["run_rows"] == [500 * 16, 16]
+    rolled2 = dedup._sig_ckpt_dir(rep2["corpus_fingerprint"], 64, 3, ckpt_root)
+    # 1 survivor absorbs the 1-doc run: O(log) runs
+    assert _runs(rolled2) == ["run-000000.npy", "run-000002.npy"]
+    assert dedup._sig_table(rolled2).num_rows == 502
+
+    for d in os.listdir(ckpt_root):
+        shutil.rmtree(os.path.join(ckpt_root, d, "bands16"))
+    rep2b = ingest_delta(
+        str(tmp_path / "o1"), SF, _delta_ds(delta2), str(tmp_path / "o2b"),
+        corpus_fingerprint=rep1["corpus_fingerprint"],
+    )
+    assert rep2b["dropped_ids"] == [2000]
+    assert rep2b["pairs_probe"]["run_rows"] == [501 * 16]  # one derived run
+    assert {k: rep2b["pairs_probe"][k] for k in ("candidates", "verified")} == {
+        k: rep2["pairs_probe"][k] for k in ("candidates", "verified")
+    }

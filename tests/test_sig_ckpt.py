@@ -222,8 +222,9 @@ def test_derived_fingerprint_never_rebuilds_mislabeled(ray_session, ckpt_root):
 
 def test_reuse_keeps_ckpt_from_gc(ray_session, ckpt_root):
     """GC ages checkpoints by last use: reusing a signature checkpoint
-    (minhash_signature_ckpt, or the roll's _write_sig_ckpt) bumps its
-    _SUCCESS marker, so a back-dated entry in use is not collected."""
+    (minhash_signature_ckpt, _write_sig_ckpt, or the ingest roll's
+    _roll_sig_ckpt) bumps its _SUCCESS marker, so a back-dated entry in
+    use is not collected."""
     import json
     import time
 
@@ -244,7 +245,34 @@ def test_reuse_keeps_ckpt_from_gc(ray_session, ckpt_root):
     backdate(d)
     with open(mf.marker_path(d)) as f:
         fp = json.load(f)["fingerprint"]
-    # the roll writes through _write_sig_ckpt; a complete entry is reused
+    # a complete entry is reused by a write or a roll for its fingerprint
     assert dedup._write_sig_ckpt(
         None, fp, num_perm=64, k=3, ckpt_root=ckpt_root) == d
     assert gc_ckpt_root(ckpt_root, max_age_days=7, dry_run=True) == []
+    backdate(d)
+    assert dedup._roll_sig_ckpt(
+        None, fp, None, num_perm=64, k=3, bands=16, ckpt_root=ckpt_root) == d
+    assert gc_ckpt_root(ckpt_root, max_age_days=7, dry_run=True) == []
+
+
+def test_ckpt_without_band_runs_derives_them(ray_session, ckpt_root):
+    """A checkpoint written before band runs existed holds only its sig
+    parts.  The first probe derives the runs in place and finds the same
+    pairs; the Ray Data read of the checkpoint still lists only the sig
+    parts once runs sit next to them."""
+    import shutil
+
+    from invertedindexbuilder_ray.pipelines import dedup
+    from invertedindexbuilder_ray.sources.documents import load_documents
+
+    delta = _mk_delta(load_documents(SF), 10_000_000, 20).materialize()
+    first = _pairs_df(dedup.minhash_pairs_delta(SF, delta, threshold=0.5))
+    d = dedup.minhash_signature_ckpt(SF)
+    runs = os.path.join(d, "bands16")
+    assert os.listdir(runs) == ["run-000000.npy"]
+    shutil.rmtree(runs)  # the layout before band runs
+    again = _pairs_df(dedup.minhash_pairs_delta(SF, delta, threshold=0.5))
+    assert len(first) > 0 and again.equals(first)
+    assert os.listdir(runs) == ["run-000000.npy"]
+    assert not [f for f in os.listdir(d) if f.startswith(".")]  # no temp dir left
+    assert dedup._read_sig_ckpt(d).count() == 500
