@@ -4,7 +4,7 @@
     python -m invertedindexbuilder_ray build --input DIR --out IDX \
         [--format webpages|documents] [--partitions P] [--prefix-fraction 0.3]
     python -m invertedindexbuilder_ray query --index IDX --terms "a b c" \
-        [--k 10] [--mode and|or|cnf] [--conformance|--correct]
+        [--k 10] [--mode and|or|cnf] [--correct]
     python -m invertedindexbuilder_ray repl --index IDX
 """
 
@@ -212,13 +212,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _modes() -> dict[str, int]:
+    """The mode words of ``query --mode`` and the REPL."""
+    from .pipelines.query import CNF, CONJUNCTIVE, DISJUNCTIVE
+
+    return {"and": CONJUNCTIVE, "or": DISJUNCTIVE, "cnf": CNF}
+
+
 def cmd_query(args) -> int:
     _init_ray(args.num_cpus)
-    from .pipelines.query import CNF, CONJUNCTIVE, DISJUNCTIVE, QueryEngine
+    from .pipelines.query import QueryEngine
 
     if not args.shards and not args.index:
         raise SystemExit("query needs --index or --shards")
-    mode = {"and": CONJUNCTIVE, "or": DISJUNCTIVE, "cnf": CNF}[args.mode]
+    mode = _modes()[args.mode]
     if args.shards:
         from .pipelines.shards import ShardedEngine
 
@@ -245,18 +252,17 @@ def cmd_query(args) -> int:
 def cmd_repl(args) -> int:
     """Interactive loop mirroring the reference's ``q()`` REPL."""
     _init_ray(args.num_cpus)
-    from .pipelines.query import CONJUNCTIVE, DISJUNCTIVE, QueryEngine
+    from .pipelines.query import QueryEngine
 
-    eng = QueryEngine(args.index, conformance=args.conformance)
-    print("Ready. Lines:  <k> <and|or> <terms...>   (Ctrl-D to exit)")
+    eng = QueryEngine(args.index)
+    modes = _modes()
+    print("Ready. Lines:  <k> <and|or|cnf> <terms...>   (Ctrl-D to exit)")
     for line in sys.stdin:
         parts = line.split(None, 2)
-        if len(parts) < 3:
-            print("usage: <k> <and|or> <terms...>")
+        if len(parts) < 3 or not parts[0].isdecimal() or parts[1] not in modes:
+            print("usage: <k> <and|or|cnf> <terms...>")
             continue
-        k, mode_s, terms = int(parts[0]), parts[1], parts[2]
-        mode = CONJUNCTIVE if mode_s == "and" else DISJUNCTIVE
-        for h in eng.search(terms, k, mode):
+        for h in eng.search(parts[2], int(parts[0]), modes[parts[1]]):
             print(f"[{h['rank']}]\t{h['url']}\nBM25: \t{h['score']:.6f}\n")
     return 0
 
@@ -379,13 +385,12 @@ def main(argv: list[str] | None = None) -> int:
     q.add_argument("--k", type=int, default=10)
     q.add_argument("--mode", choices=["and", "or", "cnf"], default="and",
                    help="cnf: ';'-separated OR groups, e.g. 'data join; merge'")
-    q.add_argument("--conformance", action="store_true", default=True)
-    q.add_argument("--correct", dest="conformance", action="store_false")
+    q.add_argument("--correct", dest="conformance", action="store_false",
+                   help="correct-mode AND instead of the reference's quirks")
     q.set_defaults(fn=cmd_query)
 
     r = sub.add_parser("repl")
     r.add_argument("--index", required=True)
-    r.add_argument("--conformance", action="store_true", default=True)
     r.set_defaults(fn=cmd_repl)
 
     args = p.parse_args(argv)

@@ -4,23 +4,28 @@ Replicates the reference's query path (/root/reference/src/query.c:232-300):
 lexicon lookup -> open posting cursors -> DAAT evaluation -> strict-``>``
 min-heap top-k (quirk Q-T) -> (rank, doc_id, url, score).
 
-Modes:
+Every mode runs on one of two set-at-a-time kernels or on the conformance
+walk, and ranks through the same selection (:meth:`QueryEngine._topk`):
 
-* ``conjunctive`` conformance mode replicates the reference loop
-  bit-exactly, including the destructive-cursor miss quirk Q-C and the
-  stale inner variable (src/query.c:153-174).  The walk only records
-  each match's doc and per-list tf (the lead list and the lists it
+* the union kernel (:meth:`QueryEngine._union`) decodes each list whole,
+  scores it with ``bm25_components`` and accumulates per doc in list
+  order.  ``disjunctive`` keeps every doc (the *intended* union semantics:
+  the reference's multi-term OR ranks on uninitialized memory, defect D6,
+  excluded from conformance per SURVEY.md §8); ``min_should_match`` keeps
+  the docs in at least m lists, ``cnf`` the docs that cover every group.
+* the intersection kernel (:meth:`QueryEngine._dense_and`) probes the lead
+  (shortest) list's docs into every other list with ``searchsorted``.  It
+  serves correct-mode ``conjunctive``, a one-list AND in either mode, and
+  ``and_not``, which then drops the docs of the negative lists.
+* conformance-mode ``conjunctive`` over two or more lists replays the
+  reference loop bit-exactly, including the destructive-cursor miss quirk
+  Q-C and the stale inner variable (src/query.c:153-174).  The walk only
+  records each match's doc and per-list tf (the lead list and the lists it
   would touch most blocks of are preloaded as plain Python lists); the
-  matches are then scored in one vectorized pass and ranked by the same
-  reference-heap replay as every other mode (:func:`_heap_topk`).
-* ``conjunctive`` correct mode, a one-list AND in either mode, and
-  ``and_not`` share one set-at-a-time intersection (:meth:`_dense_and`):
-  bulk-decode every list, probe the lead list's docs into each other list
-  with ``searchsorted``, score with ``bm25_components``.
-* ``disjunctive`` implements the *intended* union semantics (the
-  reference's multi-term OR ranks on uninitialized memory, defect D6 —
-  excluded from conformance per SURVEY.md §8).
+  matches are then scored in one vectorized pass.
 
+:meth:`QueryEngine.rank` is the one mode dispatcher: ``search`` parses a
+query string and calls it, and so does every shard of pipelines/shards.py.
 Batch evaluation over a query table runs as an actor pool:
 ``queries_ds.map_batches(BatchQueryEngine, concurrency=N)`` — the index
 reader (lexicon + doc table) loads once per actor in ``__init__``.
@@ -46,6 +51,20 @@ def check_k(k: int) -> None:
     """One rule for every tier: k = 0 ranks nothing, k < 0 is an error."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
+
+
+def parse_terms(query: str) -> list[str]:
+    """Query terms: the index's alnum scanner, with the trailing token NOT
+    dropped at query time (the REPL line ends with a separator in the
+    reference)."""
+    return oracle_tokenize(query + " ", drop_trailing=True)
+
+
+def parse_groups(query: str) -> list[list[str]]:
+    """'data join; merge spark' -> [['data', 'join'], ['merge', 'spark']]
+    (';' separates AND groups, whitespace separates OR terms; a group
+    without terms drops)."""
+    return [toks for g in query.split(";") if (toks := parse_terms(g))]
 
 
 def _total_topk(docs, scores, k: int) -> list[tuple[int, float]]:
@@ -154,10 +173,12 @@ class QueryEngine:
         lists.sort(key=lambda c: c.df)
         return lists
 
+    # parse entry points: the module parsers every tier uses
     def parse_query(self, query: str) -> list[str]:
-        # query tokenizer = same alnum scanner; trailing token NOT dropped at
-        # query time (the REPL line ends with a separator in the reference)
-        return oracle_tokenize(query + " ", drop_trailing=True)
+        return parse_terms(query)
+
+    def parse_cnf(self, query: str) -> list[list[str]]:
+        return parse_groups(query)
 
     # ------------------------------------------------------------------
     def conjunctive(self, terms: list[str], k: int) -> list[tuple[int, float]]:
@@ -255,34 +276,46 @@ class QueryEngine:
         return self._topk(docs, scores, k)
 
     # ------------------------------------------------------------------
-    def disjunctive(self, terms: list[str], k: int) -> list[tuple[int, float]]:
-        """Exhaustive union: bulk-decode each list (vectorized scoring),
-        accumulate per-doc sums, rank via the reference heap in ascending
-        doc order (intended semantics)."""
-        lists = self._open_lists(terms)
-        if not lists:
-            return []
+    def _union(self, lists: list[PostingCursor], *, count: bool = False):
+        """The union kernel: decode each list whole, score it and
+        accumulate per doc in list order, so a doc's sum is the same float
+        as a sum per match in df-ascending list order.  Returns the
+        ascending distinct docs, their score sums, each list's doc array,
+        and with ``count`` how many lists hold each doc, which is its
+        posting count, since a list holds a doc once (else None: a plain
+        union never reads it)."""
         r = self.reader
-        docs_all, score_all = [], []
+        per_list, scores = [], []
         for c in lists:
             docs, tfs = c.decode_all_remaining()
-            dls = r.docs.dl[docs]
-            score_all.append(bm25_components(tfs, dls.astype(np.float64), c.df, r.n_docs, r.d_avr))
-            docs_all.append(docs)
-        docs_cat = np.concatenate(docs_all)
-        scores_cat = np.concatenate(score_all)
-        max_doc = self.reader.max_doc_id
+            per_list.append(docs)
+            scores.append(bm25_components(
+                tfs, r.docs.dl[docs].astype(np.float64), c.df, r.n_docs, r.d_avr
+            ))
+        docs_cat = np.concatenate(per_list)
+        scores_cat = np.concatenate(scores)
+        max_doc = r.max_doc_id
         if max_doc <= 16 * len(docs_cat) + (1 << 20):
-            # dense doc-id space: O(n + N) bincount beats the O(n log n) sort
-            # (bincount accumulates in input order -> identical float sums)
-            sums_dense = np.bincount(docs_cat, weights=scores_cat, minlength=max_doc)
-            present = np.bincount(docs_cat, minlength=max_doc) > 0
-            uniq = np.flatnonzero(present)
-            sums = sums_dense[uniq]
+            # dense doc-id space: O(n + N) bincount beats the O(n log n)
+            # sort; both accumulate in input order -> identical float sums
+            counts = np.bincount(docs_cat, minlength=max_doc)
+            uniq = np.flatnonzero(counts > 0)  # ~3x faster than over int64
+            sums = np.bincount(docs_cat, weights=scores_cat, minlength=max_doc)[uniq]
+            counts = counts[uniq] if count else None
         else:
             uniq, inv = np.unique(docs_cat, return_inverse=True)
             sums = np.bincount(inv, weights=scores_cat)
-        return self._topk(uniq, sums, k)
+            counts = np.bincount(inv) if count else None
+        return uniq, sums, per_list, counts
+
+    def disjunctive(self, terms: list[str], k: int) -> list[tuple[int, float]]:
+        """Exhaustive union: every doc of any list, ranked on its summed
+        BM25 in ascending doc order (intended semantics)."""
+        lists = self._open_lists(terms)
+        if not lists:
+            return []
+        docs, sums, _, _ = self._union(lists)
+        return self._topk(docs, sums, k)
 
     def cnf(self, groups: list[list[str]], k: int) -> list[tuple[int, float]]:
         """Boolean CNF ranking — conjunction of disjunction groups, e.g.
@@ -295,13 +328,7 @@ class QueryEngine:
         groups (a term listed in several groups is deduped and scores
         once).  Terms missing from the lexicon drop silently (the
         reference's unknown-term rule); a group whose every term is
-        missing can never be satisfied -> empty result.
-
-        Fully vectorized: one bulk decode per distinct term (the
-        disjunctive path's machinery), per-(doc, group) coverage via a
-        sorted unique over composed int64 keys, never a per-row loop.
-        Ranking goes through the engine's selection semantics (_topk),
-        so conformance and total-order serving both work."""
+        missing can never be satisfied -> empty result."""
         if not groups:
             return []
         term_groups: dict[str, set[int]] = {}
@@ -312,33 +339,16 @@ class QueryEngine:
         covered = {gi for c in lists for gi in term_groups[c.term]}
         if len(covered) < len(groups):
             return []  # some group has no indexed term: unsatisfiable
-        r = self.reader
-        docs_all, score_all, gid_all = [], [], []
-        for c in lists:
-            docs, tfs = c.decode_all_remaining()
-            dls = r.docs.dl[docs]
-            score_all.append(
-                bm25_components(tfs, dls.astype(np.float64), c.df, r.n_docs, r.d_avr)
-            )
-            docs_all.append(docs)
-            gid_all.append((docs, sorted(term_groups[c.term])))
-        docs_cat = np.concatenate(docs_all)
-        scores_cat = np.concatenate(score_all)
-        uniq, inv = np.unique(docs_cat, return_inverse=True)
-        sums = np.bincount(inv, weights=scores_cat, minlength=len(uniq))
-        # coverage: distinct (doc, group) pairs -> groups matched per doc
-        pair_parts = [
-            docs * np.int64(len(groups)) + np.int64(gi)
-            for docs, gis in gid_all
-            for gi in gis
-        ]
-        pairs = np.unique(np.concatenate(pair_parts))
-        n_matched = np.bincount(
-            np.searchsorted(uniq, pairs // np.int64(len(groups))),
-            minlength=len(uniq),
-        )
-        keep = n_matched == len(groups)
-        return self._topk(uniq[keep], sums[keep], k)
+        docs, sums, per_list, _ = self._union(lists)
+        pos = [np.searchsorted(docs, d) for d in per_list]
+        keep = np.ones(len(docs), dtype=bool)
+        for gi in range(len(groups)):
+            hit = np.zeros(len(docs), dtype=bool)
+            for c, p in zip(lists, pos):
+                if gi in term_groups[c.term]:
+                    hit[p] = True
+            keep &= hit
+        return self._topk(docs[keep], sums[keep], k)
 
     def min_should_match(
         self, terms: list[str], m: int, k: int
@@ -347,9 +357,8 @@ class QueryEngine:
         shape): docs matching >= ``m`` of the n distinct query terms,
         scored as the sum of their matched terms' BM25 — ``m=1`` is
         bit-identical to disjunctive, ``m=n`` to the conjunctive match
-        set.  Same vectorized bulk-decode machinery as :meth:`cnf`;
-        coverage is a per-doc distinct-term count, so it composes over
-        document shards unchanged."""
+        set.  The sharded tier does not serve it: ``ShardedEngine`` has
+        no ``m`` operand and raises for this mode."""
         if m <= 0:
             raise ValueError(f"min_should_match: m must be >= 1, got {m}")
         # dedupe preserving order: _open_lists df-sorts stably, so df ties
@@ -358,36 +367,30 @@ class QueryEngine:
         lists = self._open_lists(list(dict.fromkeys(terms)))
         if len(lists) < m:
             return []  # fewer indexed terms than the threshold
-        r = self.reader
-        docs_all, score_all = [], []
-        for c in lists:
-            docs, tfs = c.decode_all_remaining()
-            dls = r.docs.dl[docs]
-            score_all.append(
-                bm25_components(tfs, dls.astype(np.float64), c.df, r.n_docs, r.d_avr)
-            )
-            docs_all.append(docs)
-        docs_cat = np.concatenate(docs_all)
-        scores_cat = np.concatenate(score_all)
-        uniq, inv = np.unique(docs_cat, return_inverse=True)
-        sums = np.bincount(inv, weights=scores_cat, minlength=len(uniq))
-        # each list contributes each doc at most once -> bincount of inv IS
-        # the distinct-term match count
-        n_matched = np.bincount(inv, minlength=len(uniq))
-        keep = n_matched >= m
-        return self._topk(uniq[keep], sums[keep], k)
-
-    def parse_cnf(self, query: str) -> list[list[str]]:
-        """'data join; merge spark' -> [['data', 'join'], ['merge', 'spark']]
-        (';' separates AND groups; whitespace separates OR terms).  Group
-        tokens go through the engine's own query scanner (parse_query)."""
-        return [
-            toks
-            for g in query.split(";")
-            if (toks := self.parse_query(g))
-        ]
+        docs, sums, _, counts = self._union(lists, count=True)
+        keep = counts >= m
+        return self._topk(docs[keep], sums[keep], k)
 
     # ------------------------------------------------------------------
+    def rank(
+        self, terms: list, k: int, mode: int, *, neg=(), msm: int = 1
+    ) -> list[tuple[int, float]]:
+        """Top-k ``(doc, score)`` of one parsed query — the mode dispatcher
+        of every tier.  ``terms`` is the term list, or the groups for CNF;
+        ``neg`` holds the ANDNOT exclusions and ``msm`` the MSM threshold."""
+        if mode not in (CONJUNCTIVE, DISJUNCTIVE, ANDNOT, CNF, MSM):
+            raise ValueError(f"unknown query mode {mode!r}: expected 0-4")
+        check_k(k)
+        if mode == CONJUNCTIVE:
+            return self.conjunctive(terms, k)
+        if mode == DISJUNCTIVE:
+            return self.disjunctive(terms, k)
+        if mode == ANDNOT:
+            return self.and_not(terms, neg, k)
+        if mode == CNF:
+            return self.cnf(terms, k)
+        return self.min_should_match(terms, msm, k)
+
     def search(
         self,
         query: str,
@@ -397,37 +400,11 @@ class QueryEngine:
         neg_query: str = "",
         msm: int = 1,
     ) -> list[dict]:
-        if mode not in (CONJUNCTIVE, DISJUNCTIVE, ANDNOT, CNF, MSM):
-            raise ValueError(f"unknown query mode {mode!r}: expected 0-4")
-        check_k(k)
-        if mode == MSM:
-            ranked = self.min_should_match(self.parse_query(query), msm, k)
-            return [
-                {"rank": i + 1, "doc_id": doc, "url": self.reader.url(doc),
-                 "score": score}
-                for i, (doc, score) in enumerate(ranked)
-            ]
-        if mode == CNF:
-            ranked = self.cnf(self.parse_cnf(query), k)
-            return [
-                {"rank": i + 1, "doc_id": doc, "url": self.reader.url(doc),
-                 "score": score}
-                for i, (doc, score) in enumerate(ranked)
-            ]
-        terms = self.parse_query(query)
-        if mode == ANDNOT:
-            ranked = self.and_not(terms, self.parse_query(neg_query), k)
-        elif mode == CONJUNCTIVE:
-            ranked = self.conjunctive(terms, k)
-        else:
-            ranked = self.disjunctive(terms, k)
+        terms = self.parse_cnf(query) if mode == CNF else self.parse_query(query)
+        neg = self.parse_query(neg_query) if mode == ANDNOT else ()
+        ranked = self.rank(terms, k, mode, neg=neg, msm=msm)
         return [
-            {
-                "rank": i + 1,
-                "doc_id": doc,
-                "url": self.reader.url(doc),
-                "score": score,
-            }
+            {"rank": i + 1, "doc_id": doc, "url": self.reader.url(doc), "score": score}
             for i, (doc, score) in enumerate(ranked)
         ]
 
@@ -487,53 +464,29 @@ class BatchQueryEngine:
         self.engine = QueryEngine(index_dir, conformance=conformance)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cols = batch.column_names
-        terms_col = batch["terms"].to_pylist()  # strings: materialize once
-        # preserve the caller's query_id values/type verbatim (round-3
-        # advice: an int() coercion corrupted non-integer ids)
-        qid_arr = batch["query_id"].combine_chunks()
-        k_col = (
-            batch["k"].to_numpy(zero_copy_only=False)
-            if "k" in cols
-            else np.full(batch.num_rows, 10)
-        )
-        mode_col = (
-            batch["mode"].to_numpy(zero_copy_only=False)
-            if "mode" in cols
-            else np.full(batch.num_rows, CONJUNCTIVE)
-        )
-        # optional ANDNOT exclusion terms (mode=2 rows); absent -> ""
-        neg_col = (
-            batch["neg_terms"].to_pylist()
-            if "neg_terms" in cols
-            else [""] * batch.num_rows
-        )
-        # optional minimum-should-match threshold (mode=4 rows); absent -> 1
-        msm_col = (
-            batch["msm"].to_numpy(zero_copy_only=False)
-            if "msm" in cols
-            else np.ones(batch.num_rows, np.int64)
-        )
-        qidx, ranks, docs, urls, scores = [], [], [], [], []
-        for i in range(batch.num_rows):  # per QUERY, not per row of data
-            hits = self.engine.search(
-                terms_col[i], int(k_col[i]), int(mode_col[i]),
-                neg_query=neg_col[i] or "",
-                msm=int(msm_col[i]),
-            )
-            for h in hits:
+        def col(name, default):  # optional columns: the search defaults
+            if name in batch.column_names:
+                return batch[name].to_pylist()
+            return [default] * batch.num_rows
+
+        rows = zip(batch["terms"].to_pylist(), col("k", 10), col("mode", CONJUNCTIVE),
+                   col("neg_terms", ""), col("msm", 1))
+        qidx, hits = [], []
+        for i, (terms, k, mode, neg, msm) in enumerate(rows):  # per QUERY
+            for h in self.engine.search(terms, int(k), int(mode),
+                                        neg_query=neg or "", msm=int(msm)):
                 qidx.append(i)
-                ranks.append(h["rank"])
-                docs.append(h["doc_id"])
-                urls.append(h["url"])
-                scores.append(h["score"])
+                hits.append(h)
         return pa.table(
             {
-                # take() keeps the input column's exact type and values
-                "query_id": qid_arr.take(pa.array(qidx, pa.int64())),
-                "rank": pa.array(ranks, pa.int32()),
-                "doc_id": pa.array(docs, pa.int64()),
-                "url": pa.array(urls, pa.string()),
-                "score": pa.array(scores, pa.float64()),
+                # take() keeps the caller's query_id type and values
+                # verbatim (an int() coercion corrupted non-integer ids)
+                "query_id": batch["query_id"].combine_chunks().take(
+                    pa.array(qidx, pa.int64())
+                ),
+                "rank": pa.array([h["rank"] for h in hits], pa.int32()),
+                "doc_id": pa.array([h["doc_id"] for h in hits], pa.int64()),
+                "url": pa.array([h["url"] for h in hits], pa.string()),
+                "score": pa.array([h["score"] for h in hits], pa.float64()),
             }
         )

@@ -37,9 +37,8 @@ top-ks, so sharded serving defines its semantics as the total order
 above: same scores, deterministic tie membership and order.  The
 monolithic engine keeps the quirk heap for reference conformance.
 
-Each shard runs the monolithic engine's own mode kernels under the
-injected stats.  Block-max WAND inside the shards measured slower than
-the exhaustive union (BASELINE.md round 4) and was removed.
+Each shard ranks through the monolithic engine's own mode dispatcher
+(``QueryEngine.rank``) under the injected stats.
 
 doc_id contract matches ``merge_indexes``: shard i's local ids shift by
 the sum of earlier shards' ``max_doc_id``.
@@ -47,9 +46,10 @@ the sum of earlier shards' ``max_doc_id``.
 
 from __future__ import annotations
 
-from ..oracle import tokenize as oracle_tokenize
 from ..state.manifest import IndexManifest
-from .query import CNF, CONJUNCTIVE, DISJUNCTIVE, _total_topk, check_k
+from .query import (
+    CNF, CONJUNCTIVE, DISJUNCTIVE, _total_topk, check_k, parse_groups, parse_terms,
+)
 
 # the modes a shard can serve; ANDNOT and MSM have no operand on this tier
 SHARD_MODES = (CONJUNCTIVE, DISJUNCTIVE, CNF)
@@ -105,15 +105,9 @@ def _make_searcher():
             r.n_docs, r.d_avr = n_docs, d_avr
             eng.df_override = dfs
             try:
-                if mode == CNF:
-                    # groups-of-terms payload; per-doc coverage is local,
-                    # so a group with no term in this shard correctly
-                    # yields [] here (its docs live in other shards)
-                    ranked = eng.cnf(terms, k)
-                elif mode == CONJUNCTIVE:
-                    ranked = eng.conjunctive(terms, k)
-                else:
-                    ranked = eng.disjunctive(terms, k)
+                # CNF coverage is per doc, so a group with no term in this
+                # shard correctly yields [] here (its docs live elsewhere)
+                ranked = eng.rank(terms, k, mode)
             finally:
                 r.n_docs, r.d_avr, eng.df_override = saved
             return [(doc + self.offset, score) for doc, score in ranked]
@@ -193,13 +187,5 @@ class ShardedEngine:
         )
 
     def search(self, query: str, k: int = 10, mode: int = CONJUNCTIVE):
-        if mode == CNF:
-            groups = [
-                toks
-                for g in query.split(";")
-                if (toks := oracle_tokenize(g + " ", drop_trailing=True))
-            ]
-            return self.search_terms(groups, k, mode)
-        return self.search_terms(
-            oracle_tokenize(query + " ", drop_trailing=True), k, mode
-        )
+        terms = parse_groups(query) if mode == CNF else parse_terms(query)
+        return self.search_terms(terms, k, mode)

@@ -87,6 +87,30 @@ def test_cli_cnf_mode(ray_session, tmp_path, capsys):
     assert "BM25" in out and "[1]" in out
 
 
+def test_cli_repl_modes_and_bad_input(ray_session, monkeypatch, capsys):
+    """The REPL maps its mode word through the `query --mode` table: an
+    unknown word or a k that is not a non-negative integer prints the
+    usage line and the loop goes on (an unknown word used to run as OR,
+    and `ten` killed the loop); `cnf` ranks groups."""
+    import io
+
+    from invertedindexbuilder_ray.cli import main
+    from invertedindexbuilder_ray.pipelines.catalog import index_for
+    from invertedindexbuilder_ray.pipelines.query import CNF, QueryEngine
+
+    idx = index_for(SF)
+    lines = "3 anx data join\nten and data\n-1 or data\n2\n2 cnf data; merge spark\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    assert main(["repl", "--index", idx]) == 0
+    out = capsys.readouterr().out
+    assert out.count("usage: <k> <and|or|cnf> <terms...>") == 4
+    want = QueryEngine(idx).search("data; merge spark", 2, CNF)
+    assert len(want) == 2
+    assert out.endswith("".join(
+        f"[{h['rank']}]\t{h['url']}\nBM25: \t{h['score']:.6f}\n\n" for h in want
+    ))
+
+
 def test_msm_semantics(eng):
     """minimum_should_match: m=1 bit-identical to disjunctive, m=n match
     set equals conjunctive's, intermediate m keeps exactly the >=m-term
