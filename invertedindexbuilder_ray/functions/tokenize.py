@@ -271,26 +271,21 @@ def tokenize_to_postings(
     doc_ids: np.ndarray,
     *,
     drop_trailing: bool = True,
-    return_rows: bool = False,
-) -> tuple:
+) -> tuple[pa.Array, np.ndarray, np.ndarray]:
     """Tokenize a batch -> per-(doc, term) postings.
 
     Returns ``(terms, posting_doc_ids, tfs)`` where ``terms`` is a
     ``pa.string()`` array aligned with the other two.  Postings are
     emitted doc-major (ascending input ROW order — ascending doc_id only
     when the batch's doc_ids are; the index build sorts per term later).
-    With ``return_rows`` a fourth array gives each posting's batch row
-    index (for joining back per-row attributes without assuming sorted
-    doc_ids).
     """
     mapped, starts, lens, row_idx = token_spans(texts, drop_trailing=drop_trailing)
     if len(starts) == 0:
-        empty = (
+        return (
             pa.array([], type=pa.string()),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int32),
         )
-        return empty + (np.empty(0, dtype=np.int64),) if return_rows else empty
     uniq_mat, inverse = _unique_tokens(mapped, starts, lens)
     uniq_lens = (uniq_mat != 0).sum(axis=1).astype(np.int64)
     term_strings = _packed_to_string_array(uniq_mat, uniq_lens)
@@ -306,8 +301,6 @@ def tokenize_to_postings(
     import pyarrow.compute as pc
 
     terms = pc.take(term_strings, pa.array(p_term, type=pa.int64()))
-    if return_rows:
-        return terms, doc_ids[p_row], tf.astype(np.int32), p_row
     return terms, doc_ids[p_row], tf.astype(np.int32)
 
 

@@ -6,13 +6,18 @@ machinery disappears into Ray Data's streaming executor and one
 term-keyed shuffle:
 
     source (doc_id, url, text, dl)
-      -> map_batches(TokenizePostings, actor pool)   # postings + doc rows
-      -> checkpoint parquet (resume: skip the whole parse)
-      -> docs parquet + global stats (N, sum_dl)
-      -> add partition = fnv(term) % P
-      -> groupby(partition).map_groups(build_partition)   # THE one wide shuffle
-      -> per-partition posting blob + lexicon parquet + metrics
+      -> map_batches(TokenizePostings, actor pool)   # postings + doc rows,
+                                                     # partition = fnv(term) % P
+      -> hive-partitioned checkpoint parquet         # THE shuffle (map side);
+                                                     # resume: skip the parse
+      -> one job, one task per partition directory:
+           partition p  -> posting blob + lexicon parquet + metrics
+           partition -1 -> docs parquet + global stats (N, sum_dl, max_doc_id)
       -> manifest.json
+
+Posting bytes are the reference format and need no corpus statistics,
+so the docs table and its stats come out of the same job as the
+encode.
 
 Every partition's outputs are written atomically; a rerun of the same
 build skips completed partitions (and, with the checkpoint intact, never
@@ -22,6 +27,7 @@ re-parses the corpus).
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import time
@@ -29,8 +35,9 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Sum
 
 from ..functions import hashing
 from ..functions.tokenize import tokenize_to_postings
@@ -48,10 +55,17 @@ PARTS_META_DIR = "parts_meta"
 DOC_ROWS_PARTITION = -1  # hive partition holding the doc-table rows
 
 
+def elapsed_s(t0: float, digits: int = 3) -> float:
+    """Seconds since ``t0``, cut (never rounded up) to ``digits`` decimals,
+    so the recorded phases never add up to more than the wall they split."""
+    scale = 10**digits
+    return math.floor((time.perf_counter() - t0) * scale) / scale
+
+
 class TokenizePostings:
     """Actor-pool stage: (doc_id, url, text, dl) batches -> combined rows.
 
-    Emits posting rows ``(term, doc_id, tf, dl, partition)`` plus one doc
+    Emits posting rows ``(term, doc_id, tf, partition)`` plus one doc
     row per document (``term = null``, ``partition = -1``) carrying
     ``(doc_id, dl, url)`` — a single output stream so the corpus is
     scanned exactly once.  ``partition = fnv(term) % P`` is assigned
@@ -68,20 +82,21 @@ class TokenizePostings:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        dls = batch["dl"].to_numpy(zero_copy_only=False)
-        terms, p_docs, p_tfs, p_rows = tokenize_to_postings(
-            batch["text"], doc_ids, drop_trailing=self.drop_trailing, return_rows=True
+        terms, p_docs, p_tfs = tokenize_to_postings(
+            batch["text"], doc_ids, drop_trailing=self.drop_trailing
         )
         n_p = len(p_docs)
         n_d = batch.num_rows
-        p_dls = dls[p_rows]  # per-posting dl via row index (no sortedness assumed)
         part = hashing.term_partition(terms, self.num_partitions).astype(np.int32)
         term_col = pa.concat_arrays([terms, pa.nulls(n_d, pa.string())])
         doc_col = pa.array(np.concatenate([p_docs, doc_ids]), pa.int64())
         tf_col = pa.concat_arrays(
             [pa.array(p_tfs, pa.int32()), pa.nulls(n_d, pa.int32())]
         )
-        dl_col = pa.array(np.concatenate([p_dls, dls]), pa.int64())
+        dl_col = pa.concat_arrays(
+            [pa.nulls(n_p, pa.int64()),
+             pa.array(batch["dl"].to_numpy(zero_copy_only=False), pa.int64())]
+        )
         url_col = pa.concat_arrays(
             [pa.nulls(n_p, pa.string()), batch["url"].combine_chunks()]
         )
@@ -103,42 +118,93 @@ class TokenizePostings:
         )
 
 
-class BuildPartition:
-    """Per-shuffle-partition index builder (runs inside map_groups).
+def drop_ids(t: pa.Table, dead: np.ndarray) -> pa.Table:
+    """Rows of ``t`` whose ``doc_id`` is not in the sorted array ``dead``."""
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    if not len(dead) or not len(ids):
+        return t
+    pos = np.minimum(np.searchsorted(dead, ids), len(dead) - 1)
+    return t.filter(pa.array(dead[pos] != ids))
 
-    Sorts the partition's postings by (term, doc_id), encodes every
-    term's list (compress.encode_term_lists), writes the posting blob +
-    per-partition lexicon parquet atomically, and returns one metrics
-    row.  If this partition's outputs already exist (resume), encoding
-    is skipped entirely.
+
+DOCS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dl", pa.int64()), ("url", pa.string())])
+
+
+class BuildPartition:
+    """One task of the encode job: item ``pid`` builds index partition
+    ``pid`` from the checkpoint, item ``DOC_ROWS_PARTITION`` writes the
+    docs table.
+
+    A partition sorts its postings by (term, doc_id), encodes every
+    term's list (compress.encode_term_lists — the bytes need no corpus
+    statistics), writes the posting blob + per-partition lexicon parquet
+    atomically, and returns one metrics row.  If this partition's
+    outputs already exist (resume), encoding is skipped entirely.
+
+    The docs item streams ``docs_sources`` — ``(dir, doc_id offset,
+    sorted dead ids)`` triples of (doc_id, dl, url) parquet — through
+    one parquet writer and returns the corpus stats (n_docs, sum_dl,
+    max_doc_id), which its ``_SUCCESS`` marker keeps for a resume.
     """
 
     def __init__(
-        self, out_dir: str, ckpt_dir: str, n_docs: int, d_avr: float,
-        block_max: bool, segment_max_postings: int = 1_000_000,
-        resume: bool = True, ckpt_token: str = "",
+        self, out_dir: str, ckpt_dir: str, docs_sources: list[tuple[str, int, np.ndarray]],
+        segment_max_postings: int = 1_000_000, resume: bool = True, ckpt_token: str = "",
     ):
         self.out_dir = out_dir
         self.ckpt_dir = ckpt_dir
-        self.n_docs = n_docs
-        self.d_avr = d_avr
-        self.block_max = block_max
+        self.docs_sources = docs_sources
         self.segment_max_postings = segment_max_postings
         self.resume = resume
         self.ckpt_token = ckpt_token
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = [self._build_one(int(pid)) for pid in batch["pid"].to_pylist()]
+        out = []
+        for pid in batch["pid"].to_pylist():
+            meta = self._write_docs() if pid == DOC_ROWS_PARTITION else self._build_one(int(pid))
+            out.append(pa.table({"partition": [pid], "metrics": [json.dumps(meta)]}))
         return pa.concat_tables(out)
 
-    def _build_one(self, pid: int) -> pa.Table:
+    def _write_docs(self) -> dict:
+        t0 = time.perf_counter()
+        docs_dir = os.path.join(self.out_dir, DOCS_DIR)
+        stats = {}
+        if self.resume and mf.is_complete(docs_dir):
+            with open(mf.marker_path(docs_dir)) as f:
+                stats = json.load(f)
+        if "n_docs" not in stats:
+            shutil.rmtree(docs_dir, ignore_errors=True)
+            os.makedirs(docs_dir)
+            n = sum_dl = 0
+            top = -1
+            with pq.ParquetWriter(os.path.join(docs_dir, "part-00000.parquet"),
+                                  DOCS_SCHEMA) as w:
+                for src, offset, dead in self.docs_sources:
+                    if not os.path.isdir(src):  # every doc filtered out
+                        continue
+                    for b in pads.dataset(src).to_batches(columns=DOCS_SCHEMA.names):
+                        t = drop_ids(pa.Table.from_batches([b]), dead).cast(DOCS_SCHEMA)
+                        ids = t["doc_id"].to_numpy() + offset
+                        w.write_table(t.set_column(0, "doc_id", pa.array(ids)))
+                        n += len(ids)
+                        sum_dl += int(t["dl"].to_numpy().sum())
+                        top = max(top, int(ids.max(initial=-1)))
+            stats = {"fingerprint": self.ckpt_token, "n_docs": n, "sum_dl": sum_dl,
+                     "max_doc_id": top + 1}
+            mf.mark_complete(docs_dir, stats)
+        return {"n_docs": stats["n_docs"], "sum_dl": stats["sum_dl"],
+                "max_doc_id": stats["max_doc_id"],
+                "wall_s": elapsed_s(t0, 4)}
+
+    def _build_one(self, pid: int) -> dict:
         t0 = time.perf_counter()
         blob_path = os.path.join(self.out_dir, POSTINGS_DIR, f"part-{pid:05d}.bin")
         lex_path = os.path.join(self.out_dir, LEXICON_DIR, f"part-{pid:05d}.parquet")
         meta_path = os.path.join(self.out_dir, PARTS_META_DIR, f"part-{pid:05d}.json")
         # Resume skip: only when asked to resume AND the existing outputs were
-        # built from the SAME checkpoint (token = input fingerprint) — a
-        # ``resume=False`` build always re-encodes (stale-output fix, ADVICE r1).
+        # built from the SAME checkpoint (token = input fingerprint) by code
+        # writing the same format — a ``resume=False`` build always re-encodes
+        # (stale-output fix, ADVICE r1).
         if (
             self.resume
             and os.path.exists(meta_path)
@@ -149,59 +215,36 @@ class BuildPartition:
                 meta = json.load(f)
             # the token gate only binds when this build knows its fingerprint;
             # fingerprint-less resumes keep trusting existing outputs
-            if not self.ckpt_token or meta.get("ckpt_token", "") == self.ckpt_token:
+            if meta.get("format_version") == mf.FORMAT_VERSION and (
+                not self.ckpt_token or meta.get("ckpt_token", "") == self.ckpt_token
+            ):
                 meta["skipped"] = True
-                return pa.table({"partition": [pid], "metrics": [json.dumps(meta)]})
-
-        import pyarrow.dataset as pads
+                return meta
 
         part_dir = os.path.join(self.ckpt_dir, f"partition={pid}")
-        if not os.path.isdir(part_dir):
-            meta = {"partition": pid, "rows": 0, "n_terms": 0, "blob_bytes": 0,
-                    "wall_s": 0.0, "skipped": False, "ckpt_token": self.ckpt_token}
-            mf.atomic_write_bytes(blob_path, b"")
-            import pyarrow.parquet as pq
-
-            os.makedirs(os.path.dirname(lex_path), exist_ok=True)
-            pq.write_table(
-                pa.table(
-                    {
-                        "term": pa.array([], pa.string()),
-                        "df": pa.array([], pa.int64()),
-                        "seg": pa.array([], pa.int32()),
-                        "seg_df": pa.array([], pa.int64()),
-                        "first_doc": pa.array([], pa.int64()),
-                        "partition": pa.array([], pa.int32()),
-                        "offset": pa.array([], pa.int64()),
-                        "nbytes": pa.array([], pa.int64()),
-                        "max_score": pa.array([], pa.float32()),
-                    }
-                ),
-                lex_path,
-            )
-            mf.atomic_write_json(meta_path, meta)
-            return pa.table({"partition": [pid], "metrics": [json.dumps(meta)]})
-
-        group = pads.dataset(part_dir).to_table(columns=["term", "doc_id", "tf", "dl"])
-        tbl = group.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+        if os.path.isdir(part_dir):
+            tbl = pads.dataset(part_dir).to_table(columns=["term", "doc_id", "tf"])
+            tbl = tbl.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+        else:  # no posting hashed here
+            tbl = pa.table({"term": pa.array([], pa.string()),
+                            "doc_id": pa.array([], pa.int64()),
+                            "tf": pa.array([], pa.int32())})
         terms = tbl["term"].combine_chunks()
         doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         tfs = tbl["tf"].to_numpy(zero_copy_only=False)
-        dls = tbl["dl"].to_numpy(zero_copy_only=False)
         # term run boundaries via dictionary encoding (ids appear in sorted order)
         dict_arr = pc.dictionary_encode(terms)
         if isinstance(dict_arr, pa.ChunkedArray):
             dict_arr = dict_arr.combine_chunks()
         codes = np.asarray(dict_arr.indices)
-        changes = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-        term_starts = np.concatenate([[0], changes, [len(codes)]]).astype(np.int64)
+        term_starts = np.append(np.flatnonzero(np.diff(codes, prepend=-1)), len(codes))
         uniq_terms = dict_arr.dictionary.to_pylist()
 
         # heavy-hitter split: a term with df > segment_max_postings is cut
         # into doc-range segments, each an independent list (its own delta
-        # base and skip tables).  The reader stitches segments in doc order,
-        # so no worker ever needs a whole hot list in memory; IDF/block-max
-        # still use the TERM-TOTAL df via score_dfs.
+        # base and skip tables) in the reference format.  The reader stitches
+        # segments in doc order, so no worker ever needs a whole hot list in
+        # memory; the lexicon's ``df`` keeps the TERM-TOTAL df for BM25's idf.
         seg_terms: list[str] = []
         seg_starts: list[int] = [0]
         seg_no: list[int] = []
@@ -219,34 +262,20 @@ class BuildPartition:
                 seg_total_df.append(df_total)
         seg_starts_arr = np.array(seg_starts, dtype=np.int64)
 
-        enc = compress.encode_term_lists(
-            seg_terms,
-            seg_starts_arr,
-            doc_ids,
-            tfs,
-            doc_lens=dls,
-            n_docs=self.n_docs,
-            d_avr=self.d_avr,
-            block_max=self.block_max,
-            score_dfs=np.array(seg_total_df, dtype=np.int64),
-        )
+        enc = compress.encode_term_lists(seg_terms, seg_starts_arr, doc_ids, tfs)
         mf.atomic_write_bytes(blob_path, enc.blob)
-        first_docs = doc_ids[seg_starts_arr[:-1]] if len(doc_ids) else np.array([], np.int64)
         lex_tbl = pa.table(
             {
                 "term": pa.array(enc.terms, pa.string()),
                 "df": pa.array(np.array(seg_total_df, np.int64), pa.int64()),
                 "seg": pa.array(np.array(seg_no, np.int32), pa.int32()),
                 "seg_df": pa.array(enc.dfs, pa.int64()),
-                "first_doc": pa.array(first_docs, pa.int64()),
+                "first_doc": pa.array(doc_ids[seg_starts_arr[:-1]], pa.int64()),
                 "partition": pa.array(np.full(len(enc.terms), pid), pa.int32()),
                 "offset": pa.array(enc.offsets, pa.int64()),
                 "nbytes": pa.array(enc.nbytes, pa.int64()),
-                "max_score": pa.array(enc.max_scores, pa.float32()),
             }
         )
-        import pyarrow.parquet as pq
-
         os.makedirs(os.path.dirname(lex_path), exist_ok=True)
         tmp = lex_path + ".tmp"
         pq.write_table(lex_tbl, tmp)
@@ -259,9 +288,65 @@ class BuildPartition:
             "wall_s": round(time.perf_counter() - t0, 4),
             "skipped": False,
             "ckpt_token": self.ckpt_token,
+            "format_version": mf.FORMAT_VERSION,
         }
         mf.atomic_write_json(meta_path, meta)
-        return pa.table({"partition": [pid], "metrics": [json.dumps(meta)]})
+        return meta
+
+
+def encode_index(
+    out_dir: str,
+    num_partitions: int,
+    docs_sources: list[tuple[str, int, np.ndarray]],
+    fingerprint: str,
+    phase_s: dict[str, float],
+    encode_phase: str,
+    stats: dict,
+    *,
+    resume: bool,
+    segment_max_postings: int = 1_000_000,
+) -> IndexManifest:
+    """The encode job shared by build and merge, then the manifest commit.
+
+    One Ray Data job runs every partition of ``out_dir``'s checkpoint
+    plus the docs-table item (``BuildPartition``).  ``phase_s`` gains
+    ``docs_and_stats`` (the docs task's own seconds) and
+    ``encode_phase`` (the job's wall minus those), so the phases still
+    add up to the wall.  ``stats`` joins the manifest's stats."""
+    t0 = time.perf_counter()
+    builder = BuildPartition(
+        out_dir, os.path.join(out_dir, CKPT_DIR), docs_sources, segment_max_postings,
+        resume=resume, ckpt_token=fingerprint,
+    )
+    rows = (
+        rd.from_items([{"pid": p} for p in range(DOC_ROWS_PARTITION, num_partitions)])
+        .map_batches(builder, batch_format="pyarrow", batch_size=1)
+        .take_all()
+    )
+    partitions = {str(r["partition"]): json.loads(r["metrics"]) for r in rows}
+    docs = partitions.pop(str(DOC_ROWS_PARTITION))
+    phase_s["docs_and_stats"] = docs["wall_s"]
+    phase_s[encode_phase] = elapsed_s(t0 + docs["wall_s"])  # the job minus the docs task
+
+    n_docs, sum_dl = docs["n_docs"], docs["sum_dl"]
+    man = IndexManifest(
+        n_docs=n_docs,
+        sum_dl=sum_dl,
+        d_avr=(sum_dl / (n_docs - 1)) if n_docs > 1 else float(sum_dl),  # quirk Q6
+        max_doc_id=docs["max_doc_id"],
+        num_partitions=num_partitions,
+        input_fingerprint=fingerprint,
+        partitions=partitions,
+        stats={
+            "total_postings": sum(p.get("rows", 0) for p in partitions.values()),
+            "distinct_terms": sum(p.get("n_terms", 0) for p in partitions.values()),
+            "index_bytes": sum(p.get("blob_bytes", 0) for p in partitions.values()),
+            **stats,
+            "phase_seconds": phase_s,
+        },
+    )
+    man.save(out_dir)
+    return man
 
 
 def _fingerprint(source: str | list[str] | rd.Dataset) -> str:
@@ -311,7 +396,6 @@ def build_index(
     out_dir: str,
     *,
     num_partitions: int = 16,
-    block_max: bool = True,
     drop_trailing: bool = True,
     resume: bool = True,
     tokenize_concurrency: int | None = None,
@@ -325,17 +409,11 @@ def build_index(
     """
     os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, CKPT_DIR)
-    phase_s: dict[str, float] = {}
-    t_phase = time.perf_counter()
-
-    def _lap(name: str) -> None:
-        nonlocal t_phase
-        phase_s[name] = round(time.perf_counter() - t_phase, 3)
-        t_phase = time.perf_counter()
+    t0 = time.perf_counter()
 
     # ---- Phase 1: parse/tokenize -> hive-partitioned checkpoint.  The write
     # IS the shuffle: rows land in partition=<fnv(term)%P>/ dirs (doc rows in
-    # partition=-1/), so phase 3 builds each partition from its own directory
+    # partition=-1/), so phase 2 builds each partition from its own directory
     # with zero groupby.  Skipped wholesale on resume — but only for the SAME
     # input: resuming over a different corpus must fail loudly, not silently
     # serve a stale index.
@@ -360,9 +438,10 @@ def build_index(
     if not (resume and mf.is_complete(ckpt)):
         # write_parquet APPENDS into an existing directory; a checkpoint dir
         # without its _SUCCESS marker is an interrupted phase-1 write — wipe
-        # it or a resumed build would index every row twice (ADVICE r1).
-        if os.path.isdir(ckpt):
-            shutil.rmtree(ckpt)
+        # it or a resumed build would index every row twice (ADVICE r1).  The
+        # docs table is derived from the checkpoint, so it goes too.
+        for sub in (CKPT_DIR, DOCS_DIR):
+            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
         combined = source_ds.map_batches(
             TokenizePostings(num_partitions, drop_trailing=drop_trailing),
             batch_format="pyarrow",
@@ -376,75 +455,13 @@ def build_index(
         # count stays a small multiple of the worker count.
         combined.write_parquet(ckpt, partition_cols=["partition"])
         mf.mark_complete(ckpt, {"fingerprint": input_fingerprint})
-    _lap("parse_tokenize_ckpt")
+    phase_s = {"parse_tokenize_ckpt": elapsed_s(t0)}
 
-    # ---- Phase 2: docs table + global stats (reads only partition=-1)
-    docs_dir = os.path.join(out_dir, DOCS_DIR)
-    doc_rows_dir = os.path.join(ckpt, f"partition={DOC_ROWS_PARTITION}")
-    if not os.path.isdir(doc_rows_dir):
-        # every input doc was filtered out (or the corpus was empty): no doc
-        # rows were ever written — synthesize an empty docs table
-        import pyarrow.parquet as _pq
-
-        os.makedirs(docs_dir, exist_ok=True)
-        _pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "dl": pa.array([], pa.int64()),
-                    "url": pa.array([], pa.string()),
-                }
-            ),
-            os.path.join(docs_dir, "empty.parquet"),
-        )
-        mf.mark_complete(docs_dir)
-    elif not (resume and mf.is_complete(docs_dir)):
-        if os.path.isdir(docs_dir):  # incomplete previous write: never append
-            shutil.rmtree(docs_dir)
-        rd.read_parquet(doc_rows_dir, columns=["doc_id", "dl", "url"]).write_parquet(
-            docs_dir
-        )
-        mf.mark_complete(docs_dir)
-    stats = (
-        rd.read_parquet(docs_dir, columns=["doc_id", "dl"])
-        .aggregate(Count(), Sum("dl"), Max("doc_id"))
-    ) or {}
-    n_docs = int(stats.get("count()") or 0)
-    sum_dl = int(stats.get("sum(dl)") or 0)
-    max_doc_id = int(stats["max(doc_id)"]) + 1 if n_docs else 0
-    d_avr = (sum_dl / (n_docs - 1)) if n_docs > 1 else float(sum_dl)  # quirk Q6
-    _lap("docs_and_stats")
-
-    # ---- Phase 3: per-partition encode, one task per partition directory
-    builder = BuildPartition(
-        out_dir, ckpt, n_docs, d_avr, block_max, segment_max_postings,
-        resume=resume, ckpt_token=input_fingerprint,
+    # ---- Phase 2: one job encodes every partition directory and writes
+    # the docs table from the doc rows (partition=-1) beside them
+    return encode_index(
+        out_dir, num_partitions,
+        [(os.path.join(ckpt, f"partition={DOC_ROWS_PARTITION}"), 0, np.empty(0, np.int64))],
+        input_fingerprint, phase_s, "shuffle_and_encode", {},
+        resume=resume, segment_max_postings=segment_max_postings,
     )
-    metrics_rows = (
-        rd.from_items([{"pid": p} for p in range(num_partitions)])
-        .map_batches(builder, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
-    partitions = {
-        str(r["partition"]): json.loads(r["metrics"]) for r in metrics_rows
-    }
-    _lap("shuffle_and_encode")
-
-    man = IndexManifest(
-        n_docs=n_docs,
-        sum_dl=sum_dl,
-        d_avr=d_avr,
-        max_doc_id=max_doc_id,
-        num_partitions=num_partitions,
-        block_max=block_max,
-        input_fingerprint=input_fingerprint,
-        partitions=partitions,
-        stats={
-            "total_postings": sum(p.get("rows", 0) for p in partitions.values()),
-            "distinct_terms": sum(p.get("n_terms", 0) for p in partitions.values()),
-            "index_bytes": sum(p.get("blob_bytes", 0) for p in partitions.values()),
-            "phase_seconds": phase_s,
-        },
-    )
-    man.save(out_dir)
-    return man

@@ -126,7 +126,7 @@ def index_for(sf_dir: str) -> str:
         return out
     # manifest is written LAST (atomic) and carries the fingerprint: when it
     # already matches, the index is complete — skip even the resume pass
-    # (which still runs a stats aggregate + per-partition skip checks)
+    # (which still runs the encode job's per-partition skip checks)
     try:
         from ..state.manifest import IndexManifest
 
@@ -6401,9 +6401,9 @@ QUERIES["proximity_match"] = (q_proximity_match, SQL_PROXIMITY_MATCH)
 # index size accounting: the SQL oracle PREDICTS the physical on-disk
 # compressed size of every posting list from pure integer varbyte math,
 # and the entry reads the REAL bytes back from the built index's lexicon —
-# a storage-layout conformance check (stages/compress.py layout: header
-# vb(df) vb(len_ldoc) vb(len_bsize) + ldoc table + bsize table + 4 B
-# float32 block-max per block + cross-block delta/tf payload).  Assumes
+# a storage-layout conformance check (stages/compress.py layout, the
+# reference format: header vb(df) vb(len_ldoc) vb(len_bsize) + ldoc table
+# + bsize table + cross-block delta/tf payload).  Assumes
 # unsegmented terms (df <= segment_max_postings=1M — always true at sf).
 
 
@@ -6486,7 +6486,7 @@ pt AS (
 )
 SELECT pt.term, pt.df, bt.n_blocks,
        ({_vb_len('pt.df')} + {_vb_len('bt.len_ldoc')} + {_vb_len('bt.len_bsize')}
-        + bt.len_ldoc + bt.len_bsize + 4 * bt.n_blocks + pt.payload)::BIGINT AS nbytes
+        + bt.len_ldoc + bt.len_bsize + pt.payload)::BIGINT AS nbytes
 FROM pt JOIN bt USING (term)
 """
 

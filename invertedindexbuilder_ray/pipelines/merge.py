@@ -6,20 +6,22 @@ The reference performs a k-way merge once, inside its build
 production "compact many incremental indexes" path a training-data
 pipeline needs for rolling ingestion.  Shape:
 
-  docs tables minus tombstones are offset + unioned -> merged docs dir
   for each (input index i, partition p): ONE task decodes partition p of
-  index i back to posting rows (term, doc_id + offset_i, tf, dl,
+  index i back to posting rows (term, doc_id + offset_i, tf,
   partition=p) — one vectorized compress.decode_partition over the
   whole partition blob, tombstoned rows dropped — and writes them
   straight into the hive-partitioned checkpoint layout build_index uses
                                                 # embarrassingly parallel,
                                                 # ZERO shuffles — partition
                                                 # p rows land in partition=p
-  phase 3 of the normal build (BuildPartition) re-encodes each partition
-  with the UNION's (n_docs, d_avr) BM25 stats
+  build_index's encode job (build.encode_index) re-encodes each
+  partition — posting bytes are the reference format, independent of
+  corpus stats — and its docs task writes the inputs' docs tables minus
+  tombstones, ids offset, returning the union's (n_docs, sum_dl,
+  max_doc_id)
 
 The manifest's ``phase_seconds`` times the three steps
-(``docs_and_stats``, ``decode_ckpt``, ``encode``).  ``delete_docs`` is
+(``decode_ckpt``, ``docs_and_stats``, ``encode``).  ``delete_docs`` is
 the same compaction over one input with an explicit tombstone set.
 
 doc_id contract: inputs were built from consecutive corpus slices in
@@ -28,9 +30,9 @@ shift by sum(max_doc_id of earlier inputs).  Pass
 ``offset_doc_ids=False`` when inputs already carry globally unique ids
 (documents-table source).
 
-Byte-identity with a full rebuild holds because phase 3 is deterministic
-given (partition rows, n_docs, d_avr) and both paths aggregate the same
-merged docs table — asserted by ``tests/test_merge.py``.
+Byte-identity with a full rebuild holds because the encode is
+deterministic given a partition's (term, doc_id, tf) rows and both paths
+write the same rows — asserted by ``tests/test_merge.py``.
 """
 
 from __future__ import annotations
@@ -44,25 +46,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Sum
 
 from ..stages import compress
 from ..state import manifest as mf
 from ..state.manifest import IndexManifest
-from ..state.reader_docs import DocTable
 from .build import (
     CKPT_DIR,
     DOCS_DIR,
     LEXICON_DIR,
     PARTS_META_DIR,
     POSTINGS_DIR,
-    BuildPartition,
+    drop_ids,
+    elapsed_s,
+    encode_index,
 )
 
 
-def _partition_posting_rows(
-    index_dir: str, pid: int, doc_offset: int, dl: np.ndarray, block_max: bool
-) -> pa.Table:
+def _partition_posting_rows(index_dir: str, pid: int, doc_offset: int) -> pa.Table:
     """Decode one partition of one index back to posting rows, in
     lexicon (term, seg) order, with one ``compress.decode_partition``."""
     lex_path = os.path.join(index_dir, LEXICON_DIR, f"part-{pid:05d}.parquet")
@@ -72,7 +72,7 @@ def _partition_posting_rows(
         list_of, docs, tfs = compress.decode_partition(
             np.memmap(blob_path, dtype=np.uint8, mode="r"),
             lex["offset"].to_numpy(), lex["nbytes"].to_numpy(),
-            lex["seg_df"].to_numpy(), block_max=block_max,
+            lex["seg_df"].to_numpy(),
         )
     else:
         list_of = docs = tfs = np.empty(0, np.int64)
@@ -81,36 +81,22 @@ def _partition_posting_rows(
             "term": lex["term"].take(pa.array(list_of)),
             "doc_id": pa.array(docs + doc_offset, pa.int64()),
             "tf": pa.array(tfs.astype(np.int32), pa.int32()),
-            "dl": pa.array(dl[docs], pa.int64()),
             "partition": pa.array(np.full(len(docs), pid, np.int32)),
         }
     )
 
 
-def _drop_ids(t: pa.Table, dead: np.ndarray) -> pa.Table:
-    """Rows of ``t`` whose ``doc_id`` is not in the sorted array ``dead``."""
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    if not len(dead) or not len(ids):
-        return t
-    pos = np.minimum(np.searchsorted(dead, ids), len(dead) - 1)
-    return t.filter(pa.array(dead[pos] != ids))
-
-
 class _DecodePartition:
     """Task: (index_i, pid) descriptor -> posting rows for the checkpoint.
 
-    The per-index doc-length arrays ride the object store once
-    (``ray.put``), read by every task — at 10^9+ docs per input these
-    become per-index parquet side files instead of one array.  Tombstoned
-    docs (``tomb_refs``: each input's sorted set, already shifted by its
-    doc offset like the rows) are compacted away here — the Lucene merge
-    contract, shared by ``merge_indexes`` and ``delete_docs``."""
+    Tombstoned docs (``tomb_refs``: each input's sorted set, already
+    shifted by its doc offset like the rows) are compacted away here —
+    the Lucene merge contract, shared by ``merge_indexes`` and
+    ``delete_docs``."""
 
-    def __init__(self, index_dirs, offsets, dl_refs, block_max, tomb_refs):
+    def __init__(self, index_dirs, offsets, tomb_refs):
         self.index_dirs = index_dirs
         self.offsets = offsets
-        self.dl_refs = dl_refs
-        self.block_max = block_max
         self.tomb_refs = tomb_refs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -118,11 +104,8 @@ class _DecodePartition:
 
         out = []
         for i, pid in zip(batch["index_i"].to_pylist(), batch["pid"].to_pylist()):
-            t = _partition_posting_rows(
-                self.index_dirs[i], pid, self.offsets[i],
-                ray.get(self.dl_refs[i]), self.block_max,
-            )
-            out.append(_drop_ids(t, ray.get(self.tomb_refs[i])))
+            t = _partition_posting_rows(self.index_dirs[i], pid, self.offsets[i])
+            out.append(drop_ids(t, ray.get(self.tomb_refs[i])))
         return pa.concat_tables(out)
 
 
@@ -146,13 +129,7 @@ def extend_index(
     base = IndexManifest.load(index_dir)
     if delta_dir is None:
         delta_dir = os.path.join(out_dir + ".delta")
-    build_index(
-        new_source,
-        delta_dir,
-        num_partitions=base.num_partitions,
-        block_max=base.block_max,
-        resume=resume,
-    )
+    build_index(new_source, delta_dir, num_partitions=base.num_partitions, resume=resume)
     return merge_indexes(
         [index_dir, delta_dir], out_dir,
         offset_doc_ids=offset_doc_ids, resume=resume,
@@ -201,13 +178,11 @@ def merge_indexes(
     """Merge indexes built over disjoint corpus slices into one index."""
     mans = [IndexManifest.load(d) for d in index_dirs]
     p = mans[0].num_partitions
-    bm = mans[0].block_max
-    for m in mans[1:]:
-        if m.num_partitions != p or m.block_max != bm:
-            raise ValueError(
-                "merge_indexes requires identical num_partitions and block_max "
-                f"across inputs (got {[(m.num_partitions, m.block_max) for m in mans]})"
-            )
+    if any(m.num_partitions != p for m in mans):
+        raise ValueError(
+            "merge_indexes requires identical num_partitions across inputs "
+            f"(got {[m.num_partitions for m in mans]})"
+        )
     offsets = []
     acc = 0
     for m in mans:
@@ -242,9 +217,9 @@ def delete_docs(
     doc_ids in ``[0, max_doc_id)``), and any docs ``mark_deleted`` already
     recorded, from ``index_dir`` WITHOUT re-tokenizing the corpus, into
     ``out_dir`` — byte-identical to ``build_index`` over the filtered
-    corpus (asserted by ``tests/test_merge.py``), because phase 3 is
-    deterministic given (partition rows, n_docs, d_avr) and both paths
-    see the same filtered rows and recomputed stats.
+    corpus (asserted by ``tests/test_merge.py``), because the encode is
+    deterministic given a partition's rows and both paths see the same
+    filtered rows and recomputed stats.
 
     It is the one-input merge: kept docs keep their ORIGINAL ids (offset
     0; stable external references), and the same decode + filter task
@@ -281,23 +256,15 @@ def _compact(
     stats: dict,
 ) -> IndexManifest:
     """Write ``index_dirs`` minus their tombstones (sorted local ids), doc
-    ids shifted by ``offsets``, as one index at ``out_dir``: docs union
-    and BM25 stats, one decode task per (input, partition) into the
-    hive checkpoint, then the normal phase-3 encode with the new stats.
+    ids shifted by ``offsets``, as one index at ``out_dir``: one decode
+    task per (input, partition) into the hive checkpoint, then build's
+    encode job, whose docs task unions the inputs' docs tables.
     ``stats`` joins the manifest's stats with ``phase_seconds``."""
     import ray
     import shutil
 
     p = mans[0].num_partitions
-    bm = mans[0].block_max
-    phase_s: dict[str, float] = {}
-    t_phase = time.perf_counter()
-
-    def _lap(name: str) -> None:
-        nonlocal t_phase
-        phase_s[name] = round(time.perf_counter() - t_phase, 3)
-        t_phase = time.perf_counter()
-
+    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, CKPT_DIR)
     docs_dir = os.path.join(out_dir, DOCS_DIR)
@@ -328,51 +295,11 @@ def _compact(
     _check_stale(docs_dir, "docs table")
     _check_stale(ckpt, "checkpoint")
 
-    # ---- docs table: survivors of every input, offset ids, one union write
-    if not (resume and mf.is_complete(docs_dir)):
-        if os.path.isdir(docs_dir):
-            shutil.rmtree(docs_dir)
-        parts = []
-        for d, off, tomb in zip(index_dirs, offsets, tombs):
-
-            def shift(t: pa.Table, off=off, tomb=tomb) -> pa.Table:
-                t = _drop_ids(t, tomb)
-                ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                return t.set_column(
-                    t.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    pa.array(ids + off, pa.int64()),
-                )
-
-            src = rd.read_parquet(
-                os.path.join(d, DOCS_DIR), columns=["doc_id", "dl", "url"]
-            )
-            parts.append(src.map_batches(shift, batch_format="pyarrow"))
-        ds = parts[0]
-        for extra in parts[1:]:
-            ds = ds.union(extra)
-        ds.write_parquet(docs_dir)
-        mf.mark_complete(docs_dir, {"fingerprint": fingerprint})
-
-    agg = (
-        rd.read_parquet(docs_dir, columns=["doc_id", "dl"])
-        .aggregate(Count(), Sum("dl"), Max("doc_id"))
-    ) or {}
-    n_docs = int(agg.get("count()") or 0)
-    sum_dl = int(agg.get("sum(dl)") or 0)
-    max_doc_id = int(agg["max(doc_id)"]) + 1 if n_docs else 0
-    d_avr = (sum_dl / (n_docs - 1)) if n_docs > 1 else float(sum_dl)  # quirk Q6
-    _lap("docs_and_stats")
-
     # ---- checkpoint: decode every (input, partition) in parallel, write
     # hive-partitioned (rows already carry partition=p -> zero shuffle)
     if not (resume and mf.is_complete(ckpt)):
         if os.path.isdir(ckpt):
             shutil.rmtree(ckpt)
-        dl_refs = [
-            ray.put(DocTable.load(os.path.join(d, DOCS_DIR), m.max_doc_id).dl)
-            for d, m in zip(index_dirs, mans)
-        ]
         tomb_refs = [ray.put(t + o) for t, o in zip(tombs, offsets)]
         items = [
             {"index_i": i, "pid": pid}
@@ -380,47 +307,20 @@ def _compact(
             for pid in range(p)
         ]
         rd.from_items(items).map_batches(
-            _DecodePartition(index_dirs, offsets, dl_refs, bm, tomb_refs),
+            _DecodePartition(index_dirs, offsets, tomb_refs),
             batch_format="pyarrow",
             batch_size=1,
         ).write_parquet(ckpt, partition_cols=["partition"])
         mf.mark_complete(ckpt, {"fingerprint": fingerprint})
-    _lap("decode_ckpt")
+    phase_s = {"decode_ckpt": elapsed_s(t0)}
 
-    # ---- re-encode each partition with the new stats (normal phase 3)
-    builder = BuildPartition(
-        out_dir, ckpt, n_docs, d_avr, bm,
-        resume=resume, ckpt_token=fingerprint,
+    # ---- encode each partition and write the docs union (one job)
+    return encode_index(
+        out_dir, p,
+        [(os.path.join(d, DOCS_DIR), off, tomb)
+         for d, off, tomb in zip(index_dirs, offsets, tombs)],
+        fingerprint, phase_s, "encode", stats, resume=resume,
     )
-    metrics_rows = (
-        rd.from_items([{"pid": q} for q in range(p)])
-        .map_batches(builder, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
-    partitions = {
-        str(r["partition"]): json.loads(r["metrics"]) for r in metrics_rows
-    }
-    _lap("encode")
-
-    man = IndexManifest(
-        n_docs=n_docs,
-        sum_dl=sum_dl,
-        d_avr=d_avr,
-        max_doc_id=max_doc_id,
-        num_partitions=p,
-        block_max=bm,
-        input_fingerprint=fingerprint,
-        partitions=partitions,
-        stats={
-            "total_postings": sum(q.get("rows", 0) for q in partitions.values()),
-            "distinct_terms": sum(q.get("n_terms", 0) for q in partitions.values()),
-            "index_bytes": sum(q.get("blob_bytes", 0) for q in partitions.values()),
-            **stats,
-            "phase_seconds": phase_s,
-        },
-    )
-    man.save(out_dir)
-    return man
 
 
 def _read_tombstones(index_dir: str) -> np.ndarray:

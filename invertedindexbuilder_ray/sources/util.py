@@ -5,7 +5,11 @@ block) instead of Ray's CPU-count default: every downstream groupby /
 sort / join pays a fixed per-block shuffle cost, so a 3 MB table split
 into 64 blocks doubles its shuffle time for nothing.  At real scale the
 rule converges to Ray's own target block size; it only changes behavior
-for small inputs.
+for small inputs.  A file under ``TINY_FILE_BYTES`` is one block: four
+read tasks over a few dozen rows cost four task launches, and they make
+a float sum depend on the split.  Ten equal ``disc_price`` rows summed as
+3+3+2+2 partials give 992.475, summed in file order 992.4749999999999 (what
+DuckDB returns), and the two round to different cents.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import ray.data as rd
 
 TARGET_BLOCK_BYTES = 32 << 20
+TINY_FILE_BYTES = 16 << 10
 
 
 def sized_num_blocks(path: str, *, target: int = TARGET_BLOCK_BYTES) -> int:
@@ -22,6 +27,8 @@ def sized_num_blocks(path: str, *, target: int = TARGET_BLOCK_BYTES) -> int:
         sz = os.path.getsize(path)
     except OSError:
         sz = 0
+    if sz < TINY_FILE_BYTES and os.path.isfile(path):
+        return 1
     return int(min(2048, max(4, -(-sz // target))))
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 2  # v2: hive-partitioned ckpt + segmented lexicon schema
+FORMAT_VERSION = 3  # v3: reference posting format, no block-max; docs stats in docs/_SUCCESS
 
 
 @dataclass
@@ -26,7 +26,6 @@ class IndexManifest:
     d_avr: float                     # quirk Q6: sum_dl / (n_docs - 1)
     max_doc_id: int                  # one past the largest doc_id (sentinel)
     num_partitions: int
-    block_max: bool
     input_fingerprint: str
     format_version: int = FORMAT_VERSION
     partitions: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -38,7 +37,14 @@ class IndexManifest:
     @classmethod
     def load(cls, index_dir: str) -> "IndexManifest":
         with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
-            return cls(**json.load(f))
+            obj = json.load(f)
+        version = obj.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"{index_dir}: index format version {version}, this code reads "
+                f"version {FORMAT_VERSION}; rebuild the index"
+            )
+        return cls(**obj)
 
 
 def atomic_write_json(path: str, obj: Any) -> None:

@@ -41,9 +41,8 @@ class PostingCursor:
         "_docs", "_tfs", "curr_doc", "curr_freq", "term", "_preloaded",
     )
 
-    def __init__(self, buf: np.ndarray, *, block_max: bool, max_doc_id: int,
-                 term: str = ""):
-        self.meta = compress.open_list(buf, block_max=block_max)
+    def __init__(self, buf: np.ndarray, *, max_doc_id: int, term: str = ""):
+        self.meta = compress.open_list(buf)
         self.max_doc_id = max_doc_id
         self.df = self.meta.df
         self.term = term
@@ -232,21 +231,19 @@ class IndexReader:
         self.n_docs = self.manifest.n_docs
         self.d_avr = self.manifest.d_avr
         self.max_doc_id = self.manifest.max_doc_id
-        self.block_max = self.manifest.block_max
 
-        # term -> (total_df, [(seg, pid, offset, nbytes, max_score), ...])
-        self.lexicon: dict[str, tuple[int, list[tuple[int, int, int, int, float]]]] = {}
+        # term -> (total_df, [(seg, pid, offset, nbytes), ...])
+        self.lexicon: dict[str, tuple[int, list[tuple[int, int, int, int]]]] = {}
         for path in sorted(glob.glob(os.path.join(index_dir, "lexicon", "part-*.parquet"))):
             t = pq.read_table(path)
             terms = t["term"].to_pylist()
             dfs = t["df"].to_numpy()
-            segs = t["seg"].to_numpy() if "seg" in t.column_names else np.zeros(len(terms), np.int32)
+            segs = t["seg"].to_numpy()
             pids = t["partition"].to_numpy()
             offs = t["offset"].to_numpy()
             nbs = t["nbytes"].to_numpy()
-            ms = t["max_score"].to_numpy()
             for i, term in enumerate(terms):
-                ent = (int(segs[i]), int(pids[i]), int(offs[i]), int(nbs[i]), float(ms[i]))
+                ent = (int(segs[i]), int(pids[i]), int(offs[i]), int(nbs[i]))
                 cur = self.lexicon.get(term)
                 if cur is None:
                     self.lexicon[term] = (int(dfs[i]), [ent])
@@ -307,13 +304,10 @@ class IndexReader:
             return self._open_segment(term, segments[0])
         return SegmentedCursor(self, term, df, sorted(segments))
 
-    def _open_segment(self, term: str, seg: tuple[int, int, int, int, float]) -> PostingCursor:
-        _segno, pid, off, nbytes, _max_score = seg
+    def _open_segment(self, term: str, seg: tuple[int, int, int, int]) -> PostingCursor:
+        _segno, pid, off, nbytes = seg
         return PostingCursor(
-            self._blob(pid)[off : off + nbytes],
-            block_max=self.block_max,
-            max_doc_id=self.max_doc_id,
-            term=term,
+            self._blob(pid)[off : off + nbytes], max_doc_id=self.max_doc_id, term=term
         )
 
     def doc_len(self, doc_id: int) -> int:

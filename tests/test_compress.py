@@ -17,7 +17,7 @@ def _encode_one(doc_ids, tfs, **kw):
 
 def test_reference_verified_bytes():
     # SURVEY.md §9.1 verified hexdump: df=2, postings (0,tf=2),(1,tf=1)
-    enc = _encode_one([0, 1], [2, 1], block_max=False)
+    enc = _encode_one([0, 1], [2, 1])
     assert enc.blob == bytes([0x82, 0x81, 0x81, 0x81, 0x84, 0x80, 0x81, 0x82, 0x81])
 
 
@@ -25,26 +25,10 @@ def test_roundtrip_multi_block_delta_carry():
     # 300 postings -> 3 blocks; deltas must carry across block boundaries
     docs = np.cumsum(np.arange(1, 301))  # strictly increasing, growing gaps
     tfs = (np.arange(300) % 7) + 1
-    enc = _encode_one(docs, tfs, block_max=False)
-    got_docs, got_tfs = compress.decode_full(np.frombuffer(enc.blob, np.uint8), block_max=False)
+    enc = _encode_one(docs, tfs)
+    got_docs, got_tfs = compress.decode_full(np.frombuffer(enc.blob, np.uint8))
     assert got_docs.tolist() == docs.tolist()
     assert got_tfs.tolist() == tfs.tolist()
-
-
-def test_block_max_scores():
-    docs = np.arange(0, 200, dtype=np.int64)
-    tfs = np.ones(200, dtype=np.int64)
-    tfs[130] = 50  # spike in block 2
-    dls = np.full(200, 100.0)
-    enc = _encode_one(docs, tfs, doc_lens=dls, n_docs=1000, d_avr=100.0, block_max=True)
-    dl = compress.open_list(np.frombuffer(enc.blob, np.uint8), block_max=True)
-    assert dl.n_blocks == 2
-    expected = compress.bm25_components(tfs, dls, 200, 1000, 100.0)
-    assert abs(dl.block_max[0] - expected[:128].max()) < 1e-5
-    assert abs(dl.block_max[1] - expected[128:].max()) < 1e-5
-    assert abs(enc.max_scores[0] - expected.max()) < 1e-5
-    got_docs, got_tfs = compress.decode_full(np.frombuffer(enc.blob, np.uint8))
-    assert got_docs.tolist() == docs.tolist() and got_tfs.tolist() == tfs.tolist()
 
 
 def test_multi_term_partition():
@@ -52,10 +36,7 @@ def test_multi_term_partition():
     starts = np.array([0, 2, 5, 6])
     docs = np.array([3, 9, 0, 4, 7, 5])
     tfs = np.array([1, 2, 3, 1, 1, 9])
-    dls = np.full(6, 50.0)
-    enc = compress.encode_term_lists(
-        terms, starts, docs, tfs, doc_lens=dls, n_docs=100, d_avr=50.0
-    )
+    enc = compress.encode_term_lists(terms, starts, docs, tfs)
     blob = np.frombuffer(enc.blob, np.uint8)
     for i, (s, e) in enumerate([(0, 2), (2, 5), (5, 6)]):
         piece = blob[enc.offsets[i] : enc.offsets[i] + enc.nbytes[i]]
@@ -78,18 +59,17 @@ def test_roundtrip_property(postings):
     postings.sort()
     docs = np.array([p[0] for p in postings], dtype=np.int64)
     tfs = np.array([p[1] for p in postings], dtype=np.int64)
-    dls = np.full(len(docs), 80.0)
-    enc = _encode_one(docs, tfs, doc_lens=dls, n_docs=10_000_000, d_avr=80.0)
+    enc = _encode_one(docs, tfs)
     got_docs, got_tfs = compress.decode_full(np.frombuffer(enc.blob, np.uint8))
     assert got_docs.tolist() == docs.tolist()
     assert got_tfs.tolist() == tfs.tolist()
 
 
-def _random_partition(rng, n_terms, *, max_df, seg_max=0, big=False, block_max=True):
+def _random_partition(rng, n_terms, *, max_df, seg_max=0, big=False):
     """Encode ``n_terms`` random terms the way BuildPartition does: a term
     longer than ``seg_max`` postings is cut into independent segment lists.
     Returns (blob, offsets, nbytes, dfs) with one row per list."""
-    seg_starts, doc_parts, tf_parts, score_dfs = [0], [], [], []
+    seg_starts, doc_parts, tf_parts = [0], [], []
     id_hi = 2**40 if big else 50_000
     for _ in range(n_terms):
         df = int(rng.integers(1, max_df + 1))
@@ -105,93 +85,81 @@ def _random_partition(rng, n_terms, *, max_df, seg_max=0, big=False, block_max=T
         size = -(-df // n_segs)
         for j in range(n_segs):
             seg_starts.append(seg_starts[-1] + len(docs[j * size:(j + 1) * size]))
-            score_dfs.append(df)
     starts = np.array(seg_starts, dtype=np.int64)
     docs = np.concatenate(doc_parts)
     tfs = np.concatenate(tf_parts)
-    # n_docs below most dfs: negative idf, so float sign bits (0x80) appear
     enc = compress.encode_term_lists(
-        [f"t{i}" for i in range(len(starts) - 1)], starts, docs, tfs,
-        doc_lens=rng.integers(1, 300, size=len(docs)).astype(np.float64),
-        n_docs=max_df, d_avr=100.0, block_max=block_max,
-        score_dfs=np.array(score_dfs, dtype=np.int64),
-    )
+        [f"t{i}" for i in range(len(starts) - 1)], starts, docs, tfs)
     return np.frombuffer(enc.blob, np.uint8), enc.offsets, enc.nbytes, enc.dfs
 
 
-def _check_decode_partition(blob, offsets, nbytes, dfs, block_max):
-    list_of, docs, tfs = compress.decode_partition(
-        blob, offsets, nbytes, dfs, block_max=block_max
-    )
+def _check_decode_partition(blob, offsets, nbytes, dfs):
+    list_of, docs, tfs = compress.decode_partition(blob, offsets, nbytes, dfs)
     assert len(list_of) == len(docs) == len(tfs) == int(dfs.sum())
     assert (np.diff(list_of) >= 0).all()
     bounds = np.searchsorted(list_of, np.arange(len(offsets) + 1))
     for i in range(len(offsets)):
-        want_docs, want_tfs = compress.decode_full(
-            blob[offsets[i] : offsets[i] + nbytes[i]], block_max=block_max
-        )
+        want_docs, want_tfs = compress.decode_full(blob[offsets[i] : offsets[i] + nbytes[i]])
         s, e = bounds[i], bounds[i + 1]
         assert docs[s:e].tolist() == want_docs.tolist(), f"list {i} doc ids"
         assert tfs[s:e].tolist() == want_tfs.tolist(), f"list {i} tfs"
 
 
-@pytest.mark.parametrize("block_max", [True, False])
+@pytest.mark.parametrize("big", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decode_partition_matches_per_list_decode(block_max, seed):
+def test_decode_partition_matches_per_list_decode(big, seed):
     rng = np.random.default_rng(seed)
-    # mostly single-block lists plus multi-block ones (df up to 3 blocks + tail)
-    blob, offs, nbs, dfs = _random_partition(rng, 40, max_df=420, block_max=block_max)
+    # mostly single-block lists plus multi-block ones (df up to 3 blocks +
+    # tail); ``big`` widens doc ids and tfs to 6- and 3-byte varints
+    blob, offs, nbs, dfs = _random_partition(rng, 40, max_df=420, big=big)
     assert (dfs > compress.BLOCK_SIZE).any() and (dfs <= compress.BLOCK_SIZE).any()
-    if block_max:
-        # the float section must hold bytes that look like varint terminators
-        dl = compress.open_list(blob[offs[int(np.argmax(dfs))]:], block_max=True)
-        p = dl.payload_start - 4 * dl.n_blocks
-        assert (blob[offs[int(np.argmax(dfs))] + p:][: 4 * dl.n_blocks] >= 0x80).any()
-    _check_decode_partition(blob, offs, nbs, dfs, block_max)
+    _check_decode_partition(blob, offs, nbs, dfs)
     # lexicon rows handed over out of blob order
     perm = rng.permutation(len(offs))
-    _check_decode_partition(blob, offs[perm], nbs[perm], dfs[perm], block_max)
+    _check_decode_partition(blob, offs[perm], nbs[perm], dfs[perm])
 
 
-@pytest.mark.parametrize("block_max", [True, False])
-def test_decode_partition_segments_and_wide_varints(block_max):
+@pytest.mark.parametrize("shuffled", [True, False])
+def test_decode_partition_segments_and_wide_varints(shuffled):
     rng = np.random.default_rng(7)
+
+    def check(blob, offs, nbs, dfs):
+        # ``shuffled``: lexicon rows handed over out of blob order
+        perm = rng.permutation(len(offs)) if shuffled else np.arange(len(offs))
+        _check_decode_partition(blob, offs[perm], nbs[perm], dfs[perm])
+
     # heavy-hitter segments: every term over 50 postings is split, each
     # segment restarting from an absolute first id
-    blob, offs, nbs, dfs = _random_partition(
-        rng, 12, max_df=700, seg_max=50, block_max=block_max)
+    blob, offs, nbs, dfs = _random_partition(rng, 12, max_df=700, seg_max=50)
     assert len(offs) > 12
-    _check_decode_partition(blob, offs, nbs, dfs, block_max)
+    check(blob, offs, nbs, dfs)
     # doc ids >= 2^35 and tfs >= 2^14: 6- and 3-byte varints
-    blob, offs, nbs, dfs = _random_partition(
-        rng, 10, max_df=300, big=True, block_max=block_max)
-    _, docs, tfs = compress.decode_partition(blob, offs, nbs, dfs, block_max=block_max)
+    blob, offs, nbs, dfs = _random_partition(rng, 10, max_df=300, big=True)
+    _, docs, tfs = compress.decode_partition(blob, offs, nbs, dfs)
     assert docs.min() >= 2**35 and tfs.max() >= 2**14
-    _check_decode_partition(blob, offs, nbs, dfs, block_max)
+    check(blob, offs, nbs, dfs)
 
 
 @pytest.mark.parametrize("df", [1, 128, 129, 300])
 def test_decode_partition_one_list(df):
     docs = np.arange(df, dtype=np.int64) * 3 + 5
     tfs = np.arange(df, dtype=np.int64) % 5 + 1
-    enc = _encode_one(docs, tfs, doc_lens=np.full(df, 10.0), n_docs=1000, d_avr=10.0)
+    enc = _encode_one(docs, tfs)
     list_of, got_docs, got_tfs = compress.decode_partition(
-        np.frombuffer(enc.blob, np.uint8), enc.offsets, enc.nbytes, enc.dfs,
-        block_max=True)
+        np.frombuffer(enc.blob, np.uint8), enc.offsets, enc.nbytes, enc.dfs)
     assert list_of.tolist() == [0] * df
     assert got_docs.tolist() == docs.tolist() and got_tfs.tolist() == tfs.tolist()
-    empty = compress.decode_partition(np.empty(0, np.uint8), [], [], [], block_max=True)
+    empty = compress.decode_partition(np.empty(0, np.uint8), [], [], [])
     assert all(len(a) == 0 for a in empty)
 
 
 def test_decode_partition_rejects_wrong_df():
-    enc = _encode_one([1, 4, 9], [1, 1, 2], block_max=False)
+    enc = _encode_one([1, 4, 9], [1, 1, 2])
     with pytest.raises(ValueError):
         compress.decode_partition(np.frombuffer(enc.blob, np.uint8), enc.offsets,
-                                  enc.nbytes, enc.dfs + 1, block_max=False)
-    # decoding a block-max list as if it had none cannot line up
-    enc = _encode_one(np.arange(200), np.ones(200, np.int64),
-                      doc_lens=np.full(200, 5.0), n_docs=1000, d_avr=5.0)
+                                  enc.nbytes, enc.dfs + 1)
+    # a byte range one short of its list cannot line up with the header
+    enc = _encode_one(np.arange(200), np.ones(200, np.int64))
     with pytest.raises(ValueError):
         compress.decode_partition(np.frombuffer(enc.blob, np.uint8), enc.offsets,
-                                  enc.nbytes, enc.dfs, block_max=False)
+                                  enc.nbytes - 1, enc.dfs)

@@ -198,3 +198,105 @@ def test_no_resume_rebuilds_everything(ray_session, webpages_small, tmp_path):
     assert man2.n_docs == man1.n_docs
     assert man2.stats["total_postings"] == man1.stats["total_postings"]
     assert _blob_hashes(out) == before
+
+
+def _small_source(tmp_path, tbl, name="webpages"):
+    src = tmp_path / name
+    src.mkdir()
+    pq.write_table(tbl, src / "part-000.parquet", row_group_size=50)
+    return load_webpages(str(src))
+
+
+def test_manifest_rejects_older_format(tmp_path):
+    """A manifest written by an older format version raises a ValueError
+    that names the version (not a TypeError on a key this code dropped)."""
+    import json
+
+    from invertedindexbuilder_ray.state.manifest import FORMAT_VERSION, IndexManifest
+
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "n_docs": 1, "sum_dl": 3, "d_avr": 3.0, "max_doc_id": 1, "num_partitions": 1,
+        "block_max": True, "input_fingerprint": "", "format_version": 2,
+        "partitions": {}, "stats": {},
+    }))
+    with pytest.raises(ValueError, match=f"version 2.*version {FORMAT_VERSION}"):
+        IndexManifest.load(str(tmp_path))
+
+
+def test_resume_reencodes_partitions_of_older_format(ray_session, webpages_small, tmp_path):
+    """A resume never skips a partition whose parts_meta was written under
+    another format version: it re-encodes it from the checkpoint."""
+    import json
+    import os
+
+    import ray.data as rd
+
+    from invertedindexbuilder_ray.state.manifest import FORMAT_VERSION
+
+    out = str(tmp_path / "idx")
+    man = build_index(_small_source(tmp_path, webpages_small), out, num_partitions=2)
+    assert all(p["format_version"] == FORMAT_VERSION for p in man.partitions.values())
+    before = _blob_hashes(out)
+    for pid in range(2):
+        meta_path = os.path.join(out, "parts_meta", f"part-{pid:05d}.json")
+        with open(meta_path) as f:
+            meta = json.load(f)
+        meta["format_version"] = FORMAT_VERSION - 1
+        with open(meta_path, "w") as f:
+            json.dump(meta, f)
+        with open(os.path.join(out, "postings", f"part-{pid:05d}.bin"), "wb") as f:
+            f.write(b"\x00stale")
+
+    def boom(batch):
+        raise RuntimeError("must not re-parse")
+
+    poisoned = rd.from_items([{"doc_id": 0, "url": "h", "text": "x", "dl": 1}]).map_batches(boom)
+    man2 = build_index(poisoned, out, num_partitions=2, resume=True)
+    assert not any(p["skipped"] for p in man2.partitions.values())
+    assert _blob_hashes(out) == before
+
+
+def test_build_with_every_doc_filtered(ray_session, webpages_small, tmp_path):
+    """Every doc filtered out (quirk Q4 drops urls not starting with 'h'):
+    the docs writer still writes an empty docs table and the stats are zero."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    tbl = webpages_small
+    tbl = tbl.set_column(tbl.schema.get_field_index("url"), "url",
+                         pc.binary_join_element_wise("x", tbl["url"], ""))
+    out = str(tmp_path / "idx")
+    man = build_index(_small_source(tmp_path, tbl), out, num_partitions=2)
+    assert (man.n_docs, man.sum_dl, man.max_doc_id) == (0, 0, 0)
+    assert man.stats["total_postings"] == 0
+    docs = pq.read_table(str(tmp_path / "idx" / "docs"))
+    assert docs.num_rows == 0 and docs.schema.names == ["doc_id", "dl", "url"]
+    assert docs.schema.field("doc_id").type == pa.int64()
+    eng = qmod.QueryEngine(out)
+    assert eng.search("data the", 5, 0) == [] and eng.search("data", 5, 1) == []
+
+
+def test_resume_takes_doc_stats_from_docs_marker(ray_session, webpages_small, tmp_path):
+    """A resume over a complete docs/ reads (n_docs, sum_dl, max_doc_id)
+    from its _SUCCESS marker: with the checkpoint's doc rows gone and the
+    source poisoned, the manifest stats still equal the clean build's."""
+    import os
+    import shutil
+
+    import ray.data as rd
+
+    out = str(tmp_path / "idx")
+    clean = build_index(_small_source(tmp_path, webpages_small), out, num_partitions=2)
+    docs = os.path.join(out, "docs")
+    stamps = {f: os.stat(os.path.join(docs, f)).st_mtime_ns for f in os.listdir(docs)}
+    shutil.rmtree(os.path.join(out, "postings_ckpt", "partition=-1"))
+    os.unlink(os.path.join(out, "manifest.json"))
+
+    def boom(batch):
+        raise RuntimeError("must not re-parse")
+
+    poisoned = rd.from_items([{"doc_id": 0, "url": "h", "text": "x", "dl": 1}]).map_batches(boom)
+    man = build_index(poisoned, out, num_partitions=2, resume=True)
+    assert (man.n_docs, man.sum_dl, man.d_avr, man.max_doc_id) == (
+        clean.n_docs, clean.sum_dl, clean.d_avr, clean.max_doc_id)
+    assert {f: os.stat(os.path.join(docs, f)).st_mtime_ns for f in os.listdir(docs)} == stamps

@@ -65,12 +65,32 @@ def test_merge_byte_identical_blobs(merged_vs_full):
     assert _lexicon_rows(merged) == _lexicon_rows(full)
 
 
-def test_merge_accounts_phase_seconds(merged_vs_full):
-    """The merge manifest times its own phases, with build_index's key."""
-    _, _, _, man_m = merged_vs_full
-    ph = man_m.stats["phase_seconds"]
-    assert sorted(ph) == ["decode_ckpt", "docs_and_stats", "encode"]
-    assert all(v >= 0 for v in ph.values())
+def test_merge_accounts_phase_seconds(ray_session, webpages_small, tmp_path):
+    """build_index and merge_indexes time their own phases under fixed
+    keys (the merge shares build_index's ``docs_and_stats``): the docs
+    task reports its own non-zero seconds, and the phases add up to no
+    more than the call's wall."""
+    import time
+
+    runs = []
+    halves = []
+    for name, sl in (("a", webpages_small.slice(0, 50)), ("b", webpages_small.slice(50))):
+        src = tmp_path / f"src_{name}"
+        src.mkdir()
+        pq.write_table(sl, src / "w.parquet")
+        halves.append(str(tmp_path / name))
+        t0 = time.perf_counter()
+        man = build_index(load_webpages(str(src)), halves[-1], num_partitions=2)
+        runs.append((man, time.perf_counter() - t0,
+                     ["docs_and_stats", "parse_tokenize_ckpt", "shuffle_and_encode"]))
+    t0 = time.perf_counter()
+    man_m = merge_indexes(halves, str(tmp_path / "m"))
+    runs.append((man_m, time.perf_counter() - t0, ["decode_ckpt", "docs_and_stats", "encode"]))
+    for man, wall, keys in runs:
+        ph = man.stats["phase_seconds"]
+        assert sorted(ph) == keys
+        assert ph["docs_and_stats"] > 0 and all(v >= 0 for v in ph.values())
+        assert sum(ph.values()) <= wall, (ph, wall)
     assert "merge_encode_s" not in man_m.stats
 
 

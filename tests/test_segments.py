@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -66,8 +65,8 @@ def test_segmented_queries_rank_identical(two_indexes, mode):
 # --------------------------------------------------- lazy list open vs grammar
 @pytest.fixture(scope="module")
 def grammar_indexes(ray_session, tmp_path_factory):
-    """Multi-block Zipf indexes with and without block-max, a
-    merge_indexes output and the heavy-hitter segmented index."""
+    """A multi-block Zipf index, a merge_indexes output and the
+    heavy-hitter segmented index."""
     root = tmp_path_factory.mktemp("grammar")
     tbl = corpus.make_webpages_bulk(3000, vocab_size=2000)
     out = {}
@@ -78,13 +77,10 @@ def grammar_indexes(ray_session, tmp_path_factory):
         out[name] = str(src)
     idx = {
         "zipf": str(root / "zipf"),
-        "zipf_no_block_max": str(root / "zipf_nobm"),
         "merged": str(root / "merged"),
         "segmented": str(root / "segmented"),
     }
     build_index(load_webpages(out["full"]), idx["zipf"], num_partitions=2)
-    build_index(load_webpages(out["full"]), idx["zipf_no_block_max"],
-                num_partitions=2, block_max=False)
     # multi-block heavy-hitter segments (300 postings = 3 blocks each)
     build_index(load_webpages(out["full"]), idx["segmented"],
                 num_partitions=2, segment_max_postings=300)
@@ -95,10 +91,10 @@ def grammar_indexes(ray_session, tmp_path_factory):
     return idx
 
 
-def _eager_parse(buf: bytes, block_max: bool) -> dict:
+def _eager_parse(buf: bytes) -> dict:
     """The list grammar in ``stages/compress.py``, parsed eagerly:
     df, ldoc_table_nbytes, bsize_table_nbytes (varints), the last-doc and
-    block-size tables, optional float32 block maxima, then the blocks."""
+    block-size tables, then the blocks."""
     pos = 0
 
     def vb() -> int:
@@ -123,22 +119,18 @@ def _eager_parse(buf: bytes, block_max: bool) -> dict:
         tables.append(vals)
     last_docs, block_nbytes = tables
     nb = len(last_docs)
-    bmax = None
-    if block_max:
-        bmax = np.frombuffer(buf[pos : pos + 4 * nb], dtype="<f4")
-        pos += 4 * nb
     starts = []
     for n in block_nbytes:
         starts.append(pos)
         pos += n
     return {
         "df": df, "header": header, "last_docs": last_docs,
-        "block_nbytes": block_nbytes, "block_starts": starts, "block_max": bmax,
+        "block_nbytes": block_nbytes, "block_starts": starts,
         "block_counts": [128] * (nb - 1) + [df - 128 * (nb - 1)], "end": pos,
     }
 
 
-@pytest.mark.parametrize("which", ["zipf", "zipf_no_block_max", "merged", "segmented"])
+@pytest.mark.parametrize("which", ["zipf", "merged", "segmented"])
 def test_lazy_open_matches_grammar(grammar_indexes, which, monkeypatch):
     r = IndexReader(grammar_indexes[which])
     parses = []
@@ -147,13 +139,13 @@ def test_lazy_open_matches_grammar(grammar_indexes, which, monkeypatch):
                         lambda dl: (parses.append(dl), parse(dl))[1])
     n_multi = n_split = 0
     for term, (_df, segs) in r.lexicon.items():
-        for _seg, pid, off, nbytes, _ms in segs:
+        for _seg, pid, off, nbytes in segs:
             buf = r._blob(pid)[off : off + nbytes]
-            want = _eager_parse(bytes(buf), r.block_max)
+            want = _eager_parse(bytes(buf))
             # the last block ends exactly at the entry's nbytes, which is
             # what a bulk decode from block 0 relies on
             assert want["end"] == nbytes == len(buf), term
-            dl = compress.open_list(buf, block_max=r.block_max)
+            dl = compress.open_list(buf)
             assert dl.df == want["df"] and dl.n_blocks == len(want["last_docs"]), term
             got = compress.decode_all_blocks(dl, 0)
             assert not parses  # opening and a bulk decode from block 0 read the header only
@@ -161,10 +153,6 @@ def test_lazy_open_matches_grammar(grammar_indexes, which, monkeypatch):
             assert dl.block_nbytes.tolist() == want["block_nbytes"], term
             assert dl.block_starts.tolist() == want["block_starts"], term
             assert dl.block_counts.tolist() == want["block_counts"], term
-            if r.block_max:
-                assert dl.block_max.tobytes() == want["block_max"].tobytes(), term
-            else:
-                assert dl.block_max is None
             assert parses == [dl]  # parsed once, on first access
             parses.clear()
             # block-by-block decode through the parsed table agrees
@@ -178,7 +166,7 @@ def test_lazy_open_matches_grammar(grammar_indexes, which, monkeypatch):
             n_multi += dl.n_blocks > 1
             for cut in range(want["header"]):
                 with pytest.raises(ValueError, match="header"):
-                    compress.open_list(buf[:cut], block_max=r.block_max)
+                    compress.open_list(buf[:cut])
         n_split += len(segs) > 1
         parses.clear()
         r.open_list(term).decode_all_remaining()

@@ -76,16 +76,14 @@ def main() -> None:
         np.asarray(r._blob(pid)[off : off + nbytes])
         for t in terms
         if t in r.lexicon
-        for _seg, pid, off, nbytes, _ms in r.lexicon[t][1]
+        for _seg, pid, off, nbytes in r.lexicon[t][1]
     ]
     out = {
         "lookups": len(terms),
         "lists": len(bufs),
         "lexicon_terms": len(r.lexicon),
         "reader_open_list_us": best_us(r.open_list, terms, args.repeat),
-        "compress_open_list_us": best_us(
-            lambda b: compress.open_list(b, block_max=r.block_max), bufs, args.repeat
-        ),
+        "compress_open_list_us": best_us(compress.open_list, bufs, args.repeat),
         "lexicon_get_us": best_us(r.lexicon.get, terms, args.repeat),
     }
     print(json.dumps({k: round(v, 3) if isinstance(v, float) else v
