@@ -10,14 +10,16 @@ term-keyed shuffle:
                                                      # partition = fnv(term) % P
       -> hive-partitioned checkpoint parquet         # THE shuffle (map side);
                                                      # resume: skip the parse
-      -> one job, one task per partition directory:
+      -> one job (encode_index), one task per partition directory:
            partition p  -> posting blob + lexicon parquet + metrics
            partition -1 -> docs parquet + global stats (N, sum_dl, max_doc_id)
       -> manifest.json
 
 Posting bytes are the reference format and need no corpus statistics,
 so the docs table and its stats come out of the same job as the
-encode.
+encode.  A merge (pipelines/merge.py) runs that job alone: its tasks
+decode their partition of every input index instead of reading a
+checkpoint, so only a build leaves ``postings_ckpt/`` in its output.
 
 Every partition's outputs are written atomically; a rerun of the same
 build skips completed partitions (and, with the checkpoint intact, never
@@ -128,12 +130,43 @@ def drop_ids(t: pa.Table, dead: np.ndarray) -> pa.Table:
 
 
 DOCS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dl", pa.int64()), ("url", pa.string())])
+POSTING_SCHEMA = pa.schema([("term", pa.string()), ("doc_id", pa.int64()), ("tf", pa.int32())])
+
+
+def _partition_posting_rows(index_dir: str, pid: int, doc_offset: int,
+                            dead: np.ndarray) -> pa.Table:
+    """Partition ``pid`` of the index at ``index_dir`` as (term, doc_id,
+    tf) rows, decoded with one ``compress.decode_partition``: the docs in
+    the sorted local ids ``dead`` dropped, the rest shifted by
+    ``doc_offset``.  Segments of a term come back as separate runs; the
+    caller's sort stitches them."""
+    lex_path = os.path.join(index_dir, LEXICON_DIR, f"part-{pid:05d}.parquet")
+    blob_path = os.path.join(index_dir, POSTINGS_DIR, f"part-{pid:05d}.bin")
+    lex = pq.read_table(lex_path, columns=["term", "seg_df", "offset", "nbytes"])
+    if lex.num_rows:
+        list_of, docs, tfs = compress.decode_partition(
+            np.memmap(blob_path, dtype=np.uint8, mode="r"),
+            lex["offset"].to_numpy(), lex["nbytes"].to_numpy(),
+            lex["seg_df"].to_numpy(),
+        )
+    else:
+        list_of = docs = tfs = np.empty(0, np.int64)
+    rows = pa.table([lex["term"].take(pa.array(list_of)), pa.array(docs),
+                     pa.array(tfs.astype(np.int32))], schema=POSTING_SCHEMA)
+    rows = drop_ids(rows, dead)
+    return rows.set_column(1, "doc_id", pa.array(rows["doc_id"].to_numpy() + doc_offset))
 
 
 class BuildPartition:
     """One task of the encode job: item ``pid`` builds index partition
-    ``pid`` from the checkpoint, item ``DOC_ROWS_PARTITION`` writes the
-    docs table.
+    ``pid``, item ``DOC_ROWS_PARTITION`` writes the docs table.
+
+    ``inputs`` names where the rows come from.  ``None`` is a build: the
+    checkpoint's ``partition=<pid>`` directory, and its ``partition=-1``
+    doc rows.  A compaction passes ``(index_dir, doc_id offset, sorted
+    dead local ids)`` per input: partition ``pid`` of every input is
+    decoded (``_partition_posting_rows``) and each input's docs table is
+    read, tombstones dropped and ids shifted, with no checkpoint between.
 
     A partition sorts its postings by (term, doc_id), encodes every
     term's list (compress.encode_term_lists — the bytes need no corpus
@@ -141,19 +174,18 @@ class BuildPartition:
     atomically, and returns one metrics row.  If this partition's
     outputs already exist (resume), encoding is skipped entirely.
 
-    The docs item streams ``docs_sources`` — ``(dir, doc_id offset,
-    sorted dead ids)`` triples of (doc_id, dl, url) parquet — through
-    one parquet writer and returns the corpus stats (n_docs, sum_dl,
-    max_doc_id), which its ``_SUCCESS`` marker keeps for a resume.
+    The docs item streams its sources through one parquet writer and
+    returns the corpus stats (n_docs, sum_dl, max_doc_id), which its
+    ``_SUCCESS`` marker keeps for a resume.  If an input's surviving ids
+    meet an earlier input's, it stops and reports them instead.
     """
 
     def __init__(
-        self, out_dir: str, ckpt_dir: str, docs_sources: list[tuple[str, int, np.ndarray]],
+        self, out_dir: str, inputs: list[tuple[str, int, np.ndarray]] | None,
         segment_max_postings: int = 1_000_000, resume: bool = True, ckpt_token: str = "",
     ):
         self.out_dir = out_dir
-        self.ckpt_dir = ckpt_dir
-        self.docs_sources = docs_sources
+        self.inputs = inputs
         self.segment_max_postings = segment_max_postings
         self.resume = resume
         self.ckpt_token = ckpt_token
@@ -173,15 +205,24 @@ class BuildPartition:
             with open(mf.marker_path(docs_dir)) as f:
                 stats = json.load(f)
         if "n_docs" not in stats:
+            if self.inputs is None:
+                sources = [(os.path.join(self.out_dir, CKPT_DIR,
+                                         f"partition={DOC_ROWS_PARTITION}"),
+                            0, np.empty(0, np.int64))]
+            else:
+                sources = [(os.path.join(d, DOCS_DIR), off, dead)
+                           for d, off, dead in self.inputs]
             shutil.rmtree(docs_dir, ignore_errors=True)
             os.makedirs(docs_dir)
             n = sum_dl = 0
             top = -1
+            seen = np.empty(0, np.int64)  # earlier inputs' ids, when several
             with pq.ParquetWriter(os.path.join(docs_dir, "part-00000.parquet"),
                                   DOCS_SCHEMA) as w:
-                for src, offset, dead in self.docs_sources:
+                for src, offset, dead in sources:
                     if not os.path.isdir(src):  # every doc filtered out
                         continue
+                    mine = []
                     for b in pads.dataset(src).to_batches(columns=DOCS_SCHEMA.names):
                         t = drop_ids(pa.Table.from_batches([b]), dead).cast(DOCS_SCHEMA)
                         ids = t["doc_id"].to_numpy() + offset
@@ -189,6 +230,13 @@ class BuildPartition:
                         n += len(ids)
                         sum_dl += int(t["dl"].to_numpy().sum())
                         top = max(top, int(ids.max(initial=-1)))
+                        mine.append(ids)
+                    if len(sources) > 1 and mine:
+                        mine = np.concatenate(mine)
+                        clash = np.intersect1d(mine, seen)
+                        if len(clash):  # encode_index raises it, unwrapped
+                            return {"overlap": clash[:10].tolist(), "source": src}
+                        seen = np.union1d(seen, mine)
             stats = {"fingerprint": self.ckpt_token, "n_docs": n, "sum_dl": sum_dl,
                      "max_doc_id": top + 1}
             mf.mark_complete(docs_dir, stats)
@@ -221,14 +269,14 @@ class BuildPartition:
                 meta["skipped"] = True
                 return meta
 
-        part_dir = os.path.join(self.ckpt_dir, f"partition={pid}")
-        if os.path.isdir(part_dir):
-            tbl = pads.dataset(part_dir).to_table(columns=["term", "doc_id", "tf"])
-            tbl = tbl.sort_by([("term", "ascending"), ("doc_id", "ascending")])
-        else:  # no posting hashed here
-            tbl = pa.table({"term": pa.array([], pa.string()),
-                            "doc_id": pa.array([], pa.int64()),
-                            "tf": pa.array([], pa.int32())})
+        if self.inputs is not None:
+            tbl = pa.concat_tables([_partition_posting_rows(d, pid, off, dead)
+                                    for d, off, dead in self.inputs])
+        else:
+            part_dir = os.path.join(self.out_dir, CKPT_DIR, f"partition={pid}")
+            tbl = (pads.dataset(part_dir).to_table(columns=POSTING_SCHEMA.names)
+                   if os.path.isdir(part_dir) else POSTING_SCHEMA.empty_table())
+        tbl = tbl.sort_by([("term", "ascending"), ("doc_id", "ascending")])
         terms = tbl["term"].combine_chunks()
         doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         tfs = tbl["tf"].to_numpy(zero_copy_only=False)
@@ -297,7 +345,7 @@ class BuildPartition:
 def encode_index(
     out_dir: str,
     num_partitions: int,
-    docs_sources: list[tuple[str, int, np.ndarray]],
+    inputs: list[tuple[str, int, np.ndarray]] | None,
     fingerprint: str,
     phase_s: dict[str, float],
     encode_phase: str,
@@ -308,15 +356,15 @@ def encode_index(
 ) -> IndexManifest:
     """The encode job shared by build and merge, then the manifest commit.
 
-    One Ray Data job runs every partition of ``out_dir``'s checkpoint
-    plus the docs-table item (``BuildPartition``).  ``phase_s`` gains
+    One Ray Data job runs every partition plus the docs-table item
+    (``BuildPartition``), reading ``inputs`` (``None``: ``out_dir``'s
+    own checkpoint).  ``phase_s`` gains
     ``docs_and_stats`` (the docs task's own seconds) and
     ``encode_phase`` (the job's wall minus those), so the phases still
     add up to the wall.  ``stats`` joins the manifest's stats."""
     t0 = time.perf_counter()
     builder = BuildPartition(
-        out_dir, os.path.join(out_dir, CKPT_DIR), docs_sources, segment_max_postings,
-        resume=resume, ckpt_token=fingerprint,
+        out_dir, inputs, segment_max_postings, resume=resume, ckpt_token=fingerprint,
     )
     rows = (
         rd.from_items([{"pid": p} for p in range(DOC_ROWS_PARTITION, num_partitions)])
@@ -325,6 +373,10 @@ def encode_index(
     )
     partitions = {str(r["partition"]): json.loads(r["metrics"]) for r in rows}
     docs = partitions.pop(str(DOC_ROWS_PARTITION))
+    if "overlap" in docs:
+        raise ValueError(
+            f"inputs overlap in doc ids {docs['overlap']} (first clash at "
+            f"{docs['source']}); give them disjoint ids or offset_doc_ids=True")
     phase_s["docs_and_stats"] = docs["wall_s"]
     phase_s[encode_phase] = elapsed_s(t0 + docs["wall_s"])  # the job minus the docs task
 
@@ -460,8 +512,6 @@ def build_index(
     # ---- Phase 2: one job encodes every partition directory and writes
     # the docs table from the doc rows (partition=-1) beside them
     return encode_index(
-        out_dir, num_partitions,
-        [(os.path.join(ckpt, f"partition={DOC_ROWS_PARTITION}"), 0, np.empty(0, np.int64))],
-        input_fingerprint, phase_s, "shuffle_and_encode", {},
+        out_dir, num_partitions, None, input_fingerprint, phase_s, "shuffle_and_encode", {},
         resume=resume, segment_max_postings=segment_max_postings,
     )

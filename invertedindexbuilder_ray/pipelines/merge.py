@@ -4,31 +4,34 @@ byte-identical to a full rebuild over the concatenated corpus.
 The reference performs a k-way merge once, inside its build
 (/root/reference/src/merge.c); here it is a standalone operator — the
 production "compact many incremental indexes" path a training-data
-pipeline needs for rolling ingestion.  Shape:
+pipeline needs for rolling ingestion.  Like the reference's merge it is
+one pass straight into the final build: ONE Ray Data job, build's
+encode job (build.encode_index) given the inputs instead of a
+checkpoint.
 
-  for each (input index i, partition p): ONE task decodes partition p of
-  index i back to posting rows (term, doc_id + offset_i, tf,
-  partition=p) — one vectorized compress.decode_partition over the
-  whole partition blob, tombstoned rows dropped — and writes them
-  straight into the hive-partitioned checkpoint layout build_index uses
-                                                # embarrassingly parallel,
-                                                # ZERO shuffles — partition
-                                                # p rows land in partition=p
-  build_index's encode job (build.encode_index) re-encodes each
-  partition — posting bytes are the reference format, independent of
-  corpus stats — and its docs task writes the inputs' docs tables minus
-  tombstones, ids offset, returning the union's (n_docs, sum_dl,
-  max_doc_id)
+  partition p task: decode partition p of every input (one vectorized
+                    compress.decode_partition per input), drop its
+                    tombstoned docs, shift its ids by the input's
+                    offset, then sort and encode like a build — posting
+                    bytes are the reference format, independent of
+                    corpus stats
+  docs task:        the inputs' docs tables minus tombstones, ids
+                    offset, returning the union's (n_docs, sum_dl,
+                    max_doc_id); inputs whose ids meet are rejected
 
-The manifest's ``phase_seconds`` times the three steps
-(``decode_ckpt``, ``docs_and_stats``, ``encode``).  ``delete_docs`` is
-the same compaction over one input with an explicit tombstone set.
+The manifest's ``phase_seconds`` times ``docs_and_stats`` and
+``encode`` (the job minus the docs task).  ``delete_docs`` is the same
+compaction over one input with an explicit tombstone set.  A compaction
+writes no checkpoint; a resume reuses committed partitions (their
+``parts_meta`` token) and ``docs/`` (its ``_SUCCESS``), and re-reads the
+inputs for the rest.
 
 doc_id contract: inputs were built from consecutive corpus slices in
 list order (webpages-source ids are dense per build), so index i's ids
 shift by sum(max_doc_id of earlier inputs).  Pass
 ``offset_doc_ids=False`` when inputs already carry globally unique ids
-(documents-table source).
+(documents-table source); surviving ids that meet across inputs raise
+``ValueError`` before a manifest is written.
 
 Byte-identity with a full rebuild holds because the encode is
 deterministic given a partition's (term, doc_id, tf) rows and both paths
@@ -40,73 +43,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..stages import compress
 from ..state import manifest as mf
 from ..state.manifest import IndexManifest
-from .build import (
-    CKPT_DIR,
-    DOCS_DIR,
-    LEXICON_DIR,
-    PARTS_META_DIR,
-    POSTINGS_DIR,
-    drop_ids,
-    elapsed_s,
-    encode_index,
-)
-
-
-def _partition_posting_rows(index_dir: str, pid: int, doc_offset: int) -> pa.Table:
-    """Decode one partition of one index back to posting rows, in
-    lexicon (term, seg) order, with one ``compress.decode_partition``."""
-    lex_path = os.path.join(index_dir, LEXICON_DIR, f"part-{pid:05d}.parquet")
-    blob_path = os.path.join(index_dir, POSTINGS_DIR, f"part-{pid:05d}.bin")
-    lex = pq.read_table(lex_path, columns=["term", "seg_df", "offset", "nbytes"])
-    if lex.num_rows:
-        list_of, docs, tfs = compress.decode_partition(
-            np.memmap(blob_path, dtype=np.uint8, mode="r"),
-            lex["offset"].to_numpy(), lex["nbytes"].to_numpy(),
-            lex["seg_df"].to_numpy(),
-        )
-    else:
-        list_of = docs = tfs = np.empty(0, np.int64)
-    return pa.table(
-        {
-            "term": lex["term"].take(pa.array(list_of)),
-            "doc_id": pa.array(docs + doc_offset, pa.int64()),
-            "tf": pa.array(tfs.astype(np.int32), pa.int32()),
-            "partition": pa.array(np.full(len(docs), pid, np.int32)),
-        }
-    )
-
-
-class _DecodePartition:
-    """Task: (index_i, pid) descriptor -> posting rows for the checkpoint.
-
-    Tombstoned docs (``tomb_refs``: each input's sorted set, already
-    shifted by its doc offset like the rows) are compacted away here —
-    the Lucene merge contract, shared by ``merge_indexes`` and
-    ``delete_docs``."""
-
-    def __init__(self, index_dirs, offsets, tomb_refs):
-        self.index_dirs = index_dirs
-        self.offsets = offsets
-        self.tomb_refs = tomb_refs
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        out = []
-        for i, pid in zip(batch["index_i"].to_pylist(), batch["pid"].to_pylist()):
-            t = _partition_posting_rows(self.index_dirs[i], pid, self.offsets[i])
-            out.append(drop_ids(t, ray.get(self.tomb_refs[i])))
-        return pa.concat_tables(out)
+from .build import DOCS_DIR, LEXICON_DIR, PARTS_META_DIR, POSTINGS_DIR, encode_index
 
 
 def extend_index(
@@ -201,8 +144,8 @@ def merge_indexes(
             else ""
         )
         for d, m, t in zip(index_dirs, mans, tombs)
-    )
-    return _compact(index_dirs, mans, offsets, tombs, out_dir, fingerprint,
+    ) + (";offset" if offset_doc_ids else "")  # the same inputs, other ids
+    return _compact(index_dirs, p, offsets, tombs, out_dir, fingerprint,
                     resume=resume, stats={"merged_from": index_dirs})
 
 
@@ -239,14 +182,14 @@ def delete_docs(
         f":{tomb_digest}"
     )
     return _compact(
-        [index_dir], [man], [0], [tomb], out_dir, fingerprint, resume=resume,
+        [index_dir], man.num_partitions, [0], [tomb], out_dir, fingerprint, resume=resume,
         stats={"deleted_from": index_dir, "n_tombstones": int(len(tomb))},
     )
 
 
 def _compact(
     index_dirs: list[str],
-    mans: list[IndexManifest],
+    num_partitions: int,
     offsets: list[int],
     tombs: list[np.ndarray],
     out_dir: str,
@@ -256,70 +199,36 @@ def _compact(
     stats: dict,
 ) -> IndexManifest:
     """Write ``index_dirs`` minus their tombstones (sorted local ids), doc
-    ids shifted by ``offsets``, as one index at ``out_dir``: one decode
-    task per (input, partition) into the hive checkpoint, then build's
-    encode job, whose docs task unions the inputs' docs tables.
-    ``stats`` joins the manifest's stats with ``phase_seconds``."""
-    import ray
+    ids shifted by ``offsets``, as one index at ``out_dir``: build's
+    encode job reads every input directly, one task per partition plus
+    the docs task.  ``stats`` joins the manifest's stats with
+    ``phase_seconds``."""
     import shutil
 
-    p = mans[0].num_partitions
-    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, CKPT_DIR)
     docs_dir = os.path.join(out_dir, DOCS_DIR)
     if not resume:
-        for sub in (CKPT_DIR, DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
-            pth = os.path.join(out_dir, sub)
-            if os.path.isdir(pth):
-                shutil.rmtree(pth)
-
+        for sub in (DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
+            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     # Stale-resume guard (mirrors build_index): resuming into an out_dir whose
-    # docs/ckpt were produced from DIFFERENT inputs must fail loudly, not
-    # silently re-encode stale rows under a manifest claiming the new
-    # inputs.  The fingerprint is stored in each stage's _SUCCESS meta.
-    def _check_stale(stage_dir: str, stage: str) -> None:
-        if not (resume and mf.is_complete(stage_dir)):
-            return
+    # docs table came from DIFFERENT inputs must fail loudly, not silently
+    # serve it under a manifest claiming the new inputs.  (Partitions carry
+    # the fingerprint in their parts_meta token and re-encode on a mismatch.)
+    if resume and mf.is_complete(docs_dir):
         try:
-            prev = json.load(open(mf.marker_path(stage_dir))).get("fingerprint", "")
+            with open(mf.marker_path(docs_dir)) as f:
+                prev = json.load(f).get("fingerprint", "")
         except (OSError, ValueError):
             prev = ""
         if prev and prev != fingerprint:
             raise ValueError(
-                f"resume requested at {out_dir} but its {stage} came from "
+                f"resume requested at {out_dir} but its docs table came from "
                 f"different inputs (fingerprint {prev!r} != {fingerprint!r}); "
                 "use a fresh out_dir or resume=False"
             )
-
-    _check_stale(docs_dir, "docs table")
-    _check_stale(ckpt, "checkpoint")
-
-    # ---- checkpoint: decode every (input, partition) in parallel, write
-    # hive-partitioned (rows already carry partition=p -> zero shuffle)
-    if not (resume and mf.is_complete(ckpt)):
-        if os.path.isdir(ckpt):
-            shutil.rmtree(ckpt)
-        tomb_refs = [ray.put(t + o) for t, o in zip(tombs, offsets)]
-        items = [
-            {"index_i": i, "pid": pid}
-            for i in range(len(index_dirs))
-            for pid in range(p)
-        ]
-        rd.from_items(items).map_batches(
-            _DecodePartition(index_dirs, offsets, tomb_refs),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).write_parquet(ckpt, partition_cols=["partition"])
-        mf.mark_complete(ckpt, {"fingerprint": fingerprint})
-    phase_s = {"decode_ckpt": elapsed_s(t0)}
-
-    # ---- encode each partition and write the docs union (one job)
     return encode_index(
-        out_dir, p,
-        [(os.path.join(d, DOCS_DIR), off, tomb)
-         for d, off, tomb in zip(index_dirs, offsets, tombs)],
-        fingerprint, phase_s, "encode", stats, resume=resume,
+        out_dir, num_partitions, list(zip(index_dirs, offsets, tombs)),
+        fingerprint, {}, "encode", stats, resume=resume,
     )
 
 

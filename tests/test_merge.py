@@ -85,7 +85,7 @@ def test_merge_accounts_phase_seconds(ray_session, webpages_small, tmp_path):
                      ["docs_and_stats", "parse_tokenize_ckpt", "shuffle_and_encode"]))
     t0 = time.perf_counter()
     man_m = merge_indexes(halves, str(tmp_path / "m"))
-    runs.append((man_m, time.perf_counter() - t0, ["decode_ckpt", "docs_and_stats", "encode"]))
+    runs.append((man_m, time.perf_counter() - t0, ["docs_and_stats", "encode"]))
     for man, wall, keys in runs:
         ph = man.stats["phase_seconds"]
         assert sorted(ph) == keys
@@ -113,7 +113,7 @@ def test_delete_docs_rejects_out_of_range(ray_session, webpages_small, tmp_path)
         assert not os.path.exists(out)
     man = delete_docs(idx, [0, max_doc - 1], str(tmp_path / "ok"))
     assert man.stats["n_tombstones"] == 2
-    assert sorted(man.stats["phase_seconds"]) == ["decode_ckpt", "docs_and_stats", "encode"]
+    assert sorted(man.stats["phase_seconds"]) == ["docs_and_stats", "encode"]
 
 
 def test_delete_docs_keeps_marked_docs_deleted(ray_session, webpages_small, tmp_path):
@@ -195,7 +195,7 @@ def test_extend_index(ray_session, webpages_medium, tmp_path):
 
 def test_merge_decodes_segmented_inputs(ray_session, webpages_medium, tmp_path):
     """Inputs whose hot terms were split into doc-range segments must decode
-    and re-merge byte-identically (segment stitching in _partition_posting_rows)."""
+    and re-merge byte-identically (segment stitching in build._partition_posting_rows)."""
     root = tmp_path
     tbl = webpages_medium
     for name, sl in [("full", tbl), ("a", tbl.slice(0, 500)), ("b", tbl.slice(500))]:
@@ -476,3 +476,107 @@ def test_cli_delete_mark_only(ray_session, tmp_path, capsys):
     # missing --out without --mark-only is a usage error
     with pytest.raises(SystemExit, match="--out"):
         main(["delete", "--index", idx, "--ids", "3"])
+
+
+def _docs_rows(out: str):
+    return sorted(pq.read_table(os.path.join(out, "docs")).to_pylist(),
+                  key=lambda r: r["doc_id"])
+
+
+def test_compaction_rejects_overlapping_doc_ids(ray_session, tmp_path):
+    """Inputs whose surviving ids meet (offset_doc_ids=False over the same
+    corpus) raise before a manifest is committed, instead of counting
+    every doc twice; merging the same inputs with offsets into the same
+    out_dir then re-encodes every partition."""
+    from invertedindexbuilder_ray.pipelines.merge import extend_index
+    from invertedindexbuilder_ray.sources.documents import load_documents
+
+    src = "/root/testdata/sf0.001"
+    base = str(tmp_path / "base")
+    man = build_index(load_documents(src), base, num_partitions=4)
+    ext = str(tmp_path / "ext")
+    with pytest.raises(ValueError, match="overlap in doc ids"):
+        extend_index(base, load_documents(src), ext, offset_doc_ids=False)
+    assert not os.path.exists(os.path.join(ext, "manifest.json"))
+
+    out = str(tmp_path / "twice")
+    with pytest.raises(ValueError, match="overlap in doc ids"):
+        merge_indexes([base, base], out, offset_doc_ids=False)
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    man2 = merge_indexes([base, base], out)
+    assert not any(p["skipped"] for p in man2.partitions.values())
+    assert (man2.n_docs, man2.max_doc_id) == (2 * man.n_docs, 2 * man.max_doc_id)
+    assert man2.stats["total_postings"] == 2 * man.stats["total_postings"]
+
+
+def test_merge_partial_resume_reencodes_only_lost_partitions(
+        ray_session, webpages_medium, tmp_path):
+    """A merge of segmented, tombstoned inputs whose out_dir lost two
+    committed partitions re-encodes just those two straight from the
+    inputs (no checkpoint), reuses docs/, and writes the same bytes."""
+    from invertedindexbuilder_ray.pipelines.merge import delete_docs, mark_deleted
+
+    ins = []
+    for name, sl in [("a", webpages_medium.slice(0, 500)), ("b", webpages_medium.slice(500))]:
+        (tmp_path / name).mkdir()
+        pq.write_table(sl, tmp_path / name / "w.parquet", row_group_size=100)
+        ins.append(str(tmp_path / f"i{name}"))
+        build_index(load_webpages(str(tmp_path / name)), ins[-1], num_partitions=4,
+                    segment_max_postings=50)
+    mark_deleted(ins[0], [3, 7, 11])
+    mark_deleted(ins[1], [0, 5])
+    out = str(tmp_path / "m")
+    merge_indexes(ins, out)
+    blobs, lex, docs = _blob_hashes(out), _lexicon_rows(out), _docs_rows(out)
+    docs_dir = os.path.join(out, "docs")
+    stamps = {f: os.stat(os.path.join(docs_dir, f)).st_mtime_ns for f in os.listdir(docs_dir)}
+
+    for pid in (1, 3):
+        for sub, ext in (("postings", "bin"), ("lexicon", "parquet"), ("parts_meta", "json")):
+            os.unlink(os.path.join(out, sub, f"part-{pid:05d}.{ext}"))
+    man = merge_indexes(ins, out)
+    assert {int(p) for p, m in man.partitions.items() if not m["skipped"]} == {1, 3}
+    assert _blob_hashes(out) == blobs
+    assert _lexicon_rows(out) == lex
+    assert _docs_rows(out) == docs
+    assert {f: os.stat(os.path.join(docs_dir, f)).st_mtime_ns
+            for f in os.listdir(docs_dir)} == stamps
+
+    deleted = str(tmp_path / "del")
+    delete_docs(ins[1], [1, 2], deleted)
+    for d in (out, deleted):
+        assert not os.path.exists(os.path.join(d, "postings_ckpt"))
+
+
+def test_ray_data_jobs_per_call(ray_session, tmp_path):
+    """A build runs two Ray Data jobs (tokenize + checkpoint, encode); a
+    merge and a delete_docs run one (the encode), counted from Ray Data's
+    "Starting execution" log lines."""
+    import logging
+
+    from invertedindexbuilder_ray.pipelines.merge import delete_docs
+    from invertedindexbuilder_ray.sources.documents import load_documents
+
+    starts = []
+
+    class Starts(logging.Handler):
+        def emit(self, record):
+            if "Starting execution" in record.getMessage():
+                starts.append(record)
+
+    def jobs(fn, *args, **kw):
+        del starts[:]
+        fn(*args, **kw)
+        return len(starts)
+
+    handler = Starts()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        src = load_documents("/root/testdata/sf0.001")
+        base = str(tmp_path / "base")
+        assert jobs(build_index, src, base, num_partitions=4) == 2
+        assert jobs(merge_indexes, [base, base], str(tmp_path / "m")) == 1
+        assert jobs(delete_docs, base, [1, 2], str(tmp_path / "d")) == 1
+    finally:
+        logger.removeHandler(handler)
