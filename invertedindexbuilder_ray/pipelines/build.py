@@ -17,9 +17,11 @@ term-keyed shuffle:
 
 Posting bytes are the reference format and need no corpus statistics,
 so the docs table and its stats come out of the same job as the
-encode.  A merge (pipelines/merge.py) runs that job alone: its tasks
-decode their partition of every input index instead of reading a
-checkpoint, so only a build leaves ``postings_ckpt/`` in its output.
+encode.  The job reads a list of inputs, each an index directory or a
+tokenized checkpoint: a build passes its own checkpoint, a merge
+(pipelines/merge.py) the input indexes, and ``extend_index`` the base
+index plus the delta's checkpoint, which it deletes after the commit.
+So only a build leaves ``postings_ckpt/`` in its output.
 
 Every partition's outputs are written atomically; a rerun of the same
 build skips completed partitions (and, with the checkpoint intact, never
@@ -33,6 +35,7 @@ import math
 import os
 import shutil
 import time
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -133,27 +136,38 @@ DOCS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dl", pa.int64()), ("url", pa.
 POSTING_SCHEMA = pa.schema([("term", pa.string()), ("doc_id", pa.int64()), ("tf", pa.int32())])
 
 
-def _partition_posting_rows(index_dir: str, pid: int, doc_offset: int,
+def _is_index(src: str) -> bool:  # else a tokenized checkpoint
+    return os.path.exists(os.path.join(src, mf.MANIFEST_NAME))
+
+
+def _partition_posting_rows(src: str, pid: int, doc_offset: int,
                             dead: np.ndarray) -> pa.Table:
-    """Partition ``pid`` of the index at ``index_dir`` as (term, doc_id,
-    tf) rows, decoded with one ``compress.decode_partition``: the docs in
-    the sorted local ids ``dead`` dropped, the rest shifted by
-    ``doc_offset``.  Segments of a term come back as separate runs; the
-    caller's sort stitches them."""
-    lex_path = os.path.join(index_dir, LEXICON_DIR, f"part-{pid:05d}.parquet")
-    blob_path = os.path.join(index_dir, POSTINGS_DIR, f"part-{pid:05d}.bin")
-    lex = pq.read_table(lex_path, columns=["term", "seg_df", "offset", "nbytes"])
-    if lex.num_rows:
-        list_of, docs, tfs = compress.decode_partition(
-            np.memmap(blob_path, dtype=np.uint8, mode="r"),
-            lex["offset"].to_numpy(), lex["nbytes"].to_numpy(),
-            lex["seg_df"].to_numpy(),
-        )
+    """Partition ``pid`` of the input ``src`` as (term, doc_id, tf) rows:
+    a checkpoint's ``partition=<pid>`` rows, or an index's lists decoded
+    with one ``compress.decode_partition``; the docs in the sorted local
+    ids ``dead`` dropped, the rest shifted by ``doc_offset``.  Segments of
+    a term come back as separate runs; the caller's sort stitches them."""
+    if not _is_index(src):
+        part = os.path.join(src, f"partition={pid}")
+        rows = (pads.dataset(part).to_table(columns=POSTING_SCHEMA.names)
+                if os.path.isdir(part) else POSTING_SCHEMA.empty_table())
     else:
-        list_of = docs = tfs = np.empty(0, np.int64)
-    rows = pa.table([lex["term"].take(pa.array(list_of)), pa.array(docs),
-                     pa.array(tfs.astype(np.int32))], schema=POSTING_SCHEMA)
+        lex = pq.read_table(os.path.join(src, LEXICON_DIR, f"part-{pid:05d}.parquet"),
+                            columns=["term", "seg_df", "offset", "nbytes"])
+        if lex.num_rows:
+            list_of, docs, tfs = compress.decode_partition(
+                np.memmap(os.path.join(src, POSTINGS_DIR, f"part-{pid:05d}.bin"),
+                          dtype=np.uint8, mode="r"),
+                lex["offset"].to_numpy(), lex["nbytes"].to_numpy(),
+                lex["seg_df"].to_numpy(),
+            )
+        else:
+            list_of = docs = tfs = np.empty(0, np.int64)
+        rows = pa.table([lex["term"].take(pa.array(list_of)), pa.array(docs),
+                         pa.array(tfs.astype(np.int32))], schema=POSTING_SCHEMA)
     rows = drop_ids(rows, dead)
+    if not doc_offset:
+        return rows
     return rows.set_column(1, "doc_id", pa.array(rows["doc_id"].to_numpy() + doc_offset))
 
 
@@ -161,12 +175,13 @@ class BuildPartition:
     """One task of the encode job: item ``pid`` builds index partition
     ``pid``, item ``DOC_ROWS_PARTITION`` writes the docs table.
 
-    ``inputs`` names where the rows come from.  ``None`` is a build: the
-    checkpoint's ``partition=<pid>`` directory, and its ``partition=-1``
-    doc rows.  A compaction passes ``(index_dir, doc_id offset, sorted
-    dead local ids)`` per input: partition ``pid`` of every input is
-    decoded (``_partition_posting_rows``) and each input's docs table is
-    read, tombstones dropped and ids shifted, with no checkpoint between.
+    ``inputs`` names where the rows come from: ``(src, doc_id offset,
+    sorted dead local ids)`` per input, ``src`` an index directory or a
+    tokenized checkpoint.  Partition ``pid`` of every input is read
+    (``_partition_posting_rows``: a checkpoint's rows as they are, an
+    index's lists decoded) and each input's doc rows (an index's docs
+    table, a checkpoint's ``partition=-1``) are read, tombstones dropped
+    and ids shifted, with nothing written between.
 
     A partition sorts its postings by (term, doc_id), encodes every
     term's list (compress.encode_term_lists — the bytes need no corpus
@@ -181,7 +196,7 @@ class BuildPartition:
     """
 
     def __init__(
-        self, out_dir: str, inputs: list[tuple[str, int, np.ndarray]] | None,
+        self, out_dir: str, inputs: list[tuple[str, int, np.ndarray]],
         segment_max_postings: int = 1_000_000, resume: bool = True, ckpt_token: str = "",
     ):
         self.out_dir = out_dir
@@ -205,13 +220,9 @@ class BuildPartition:
             with open(mf.marker_path(docs_dir)) as f:
                 stats = json.load(f)
         if "n_docs" not in stats:
-            if self.inputs is None:
-                sources = [(os.path.join(self.out_dir, CKPT_DIR,
-                                         f"partition={DOC_ROWS_PARTITION}"),
-                            0, np.empty(0, np.int64))]
-            else:
-                sources = [(os.path.join(d, DOCS_DIR), off, dead)
-                           for d, off, dead in self.inputs]
+            sources = [(os.path.join(d, DOCS_DIR if _is_index(d)
+                                     else f"partition={DOC_ROWS_PARTITION}"), off, dead)
+                       for d, off, dead in self.inputs]
             shutil.rmtree(docs_dir, ignore_errors=True)
             os.makedirs(docs_dir)
             n = sum_dl = 0
@@ -269,13 +280,8 @@ class BuildPartition:
                 meta["skipped"] = True
                 return meta
 
-        if self.inputs is not None:
-            tbl = pa.concat_tables([_partition_posting_rows(d, pid, off, dead)
-                                    for d, off, dead in self.inputs])
-        else:
-            part_dir = os.path.join(self.out_dir, CKPT_DIR, f"partition={pid}")
-            tbl = (pads.dataset(part_dir).to_table(columns=POSTING_SCHEMA.names)
-                   if os.path.isdir(part_dir) else POSTING_SCHEMA.empty_table())
+        tbl = pa.concat_tables([_partition_posting_rows(d, pid, off, dead)
+                                for d, off, dead in self.inputs])
         tbl = tbl.sort_by([("term", "ascending"), ("doc_id", "ascending")])
         terms = tbl["term"].combine_chunks()
         doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
@@ -345,7 +351,7 @@ class BuildPartition:
 def encode_index(
     out_dir: str,
     num_partitions: int,
-    inputs: list[tuple[str, int, np.ndarray]] | None,
+    inputs: list[tuple[str, int, np.ndarray]],
     fingerprint: str,
     phase_s: dict[str, float],
     encode_phase: str,
@@ -357,12 +363,33 @@ def encode_index(
     """The encode job shared by build and merge, then the manifest commit.
 
     One Ray Data job runs every partition plus the docs-table item
-    (``BuildPartition``), reading ``inputs`` (``None``: ``out_dir``'s
-    own checkpoint).  ``phase_s`` gains
+    (``BuildPartition``), reading ``inputs``.  ``phase_s`` gains
     ``docs_and_stats`` (the docs task's own seconds) and
     ``encode_phase`` (the job's wall minus those), so the phases still
     add up to the wall.  ``stats`` joins the manifest's stats."""
     t0 = time.perf_counter()
+    docs_dir = os.path.join(out_dir, DOCS_DIR)
+    if not resume:
+        # fresh write into a possibly non-empty out_dir: drop every stale
+        # artifact so nothing is appended to or served from a previous run
+        for sub in (DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
+            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+    # Stale-resume guard: resuming into an out_dir whose docs table came
+    # from DIFFERENT inputs must fail loudly, not silently serve it under a
+    # manifest claiming the new inputs.  (Partitions carry the fingerprint
+    # in their parts_meta token and re-encode on a mismatch.)
+    if fingerprint and mf.is_complete(docs_dir):
+        try:
+            with open(mf.marker_path(docs_dir)) as f:
+                prev = json.load(f).get("fingerprint", "")
+        except (OSError, ValueError):
+            prev = ""
+        if prev and prev != fingerprint:
+            raise ValueError(
+                f"resume requested at {out_dir} but its docs table came from "
+                f"different inputs (fingerprint {prev!r} != {fingerprint!r}); "
+                "use a fresh out_dir or resume=False"
+            )
     builder = BuildPartition(
         out_dir, inputs, segment_max_postings, resume=resume, ckpt_token=fingerprint,
     )
@@ -443,6 +470,55 @@ def _fingerprint(source: str | list[str] | rd.Dataset) -> str:
     return ";".join(parts)
 
 
+def tokenize_to_ckpt(source_ds: rd.Dataset, out_dir: str, num_partitions: int,
+                     input_fingerprint: str = "", *, resume: bool, drop_trailing: bool = True,
+                     tokenize_concurrency: int | None = None) -> str:
+    """Phase 1: parse/tokenize ``source_ds`` into ``out_dir``'s checkpoint
+    and return its token, a fresh ``uuid4`` hex kept in its ``_SUCCESS``.
+    The write IS the shuffle: rows land in partition=<fnv(term)%P>/ dirs
+    (doc rows in partition=-1/), so the encode reads each partition from
+    its own directory with zero groupby.  Skipped wholesale on resume —
+    but only for the SAME input: resuming over a different corpus must
+    fail loudly, not silently serve a stale index."""
+    ckpt = os.path.join(out_dir, CKPT_DIR)
+    if resume and mf.is_complete(ckpt):
+        try:
+            with open(mf.marker_path(ckpt)) as f:
+                marker = json.load(f)
+        except (OSError, ValueError):
+            marker = {}
+        prev = marker.get("fingerprint", "")
+        if input_fingerprint and prev and prev != input_fingerprint:
+            raise ValueError(
+                f"resume requested at {out_dir} but the checkpoint was built from a "
+                f"different input (fingerprint {prev!r} != {input_fingerprint!r}); "
+                "use a fresh out_dir or resume=False"
+            )
+        return marker.get("token", "")
+    # write_parquet APPENDS into an existing directory; a checkpoint dir
+    # without its _SUCCESS marker is an interrupted write — wipe it or a
+    # resumed build would index every row twice (ADVICE r1).  The docs
+    # table is derived from the checkpoint, so it goes too; encode_index
+    # drops the rest of a non-resumed out_dir.
+    for sub in (CKPT_DIR, DOCS_DIR):
+        shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
+    combined = source_ds.map_batches(
+        TokenizePostings(num_partitions, drop_trailing=drop_trailing),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        **({"concurrency": tokenize_concurrency} if tokenize_concurrency else {}),
+    )
+    # The read -> tokenize -> hive-write chain fuses into single tasks, so
+    # postings NEVER cross the object store (which is a serial ~160 MB/s
+    # resource in this sandbox).  Each task emits one file per partition
+    # value; source row groups should therefore be sized so the task
+    # count stays a small multiple of the worker count.
+    combined.write_parquet(ckpt, partition_cols=["partition"])
+    token = uuid.uuid4().hex
+    mf.mark_complete(ckpt, {"fingerprint": input_fingerprint, "token": token})
+    return token
+
+
 def build_index(
     source_ds: rd.Dataset,
     out_dir: str,
@@ -459,59 +535,15 @@ def build_index(
     ``source_ds`` comes from ``sources.webpages.load_webpages`` (quirk-
     faithful doc_ids) or ``sources.documents.load_documents``.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, CKPT_DIR)
     t0 = time.perf_counter()
-
-    # ---- Phase 1: parse/tokenize -> hive-partitioned checkpoint.  The write
-    # IS the shuffle: rows land in partition=<fnv(term)%P>/ dirs (doc rows in
-    # partition=-1/), so phase 2 builds each partition from its own directory
-    # with zero groupby.  Skipped wholesale on resume — but only for the SAME
-    # input: resuming over a different corpus must fail loudly, not silently
-    # serve a stale index.
-    if resume and mf.is_complete(ckpt) and input_fingerprint:
-        try:
-            prev = json.load(open(mf.marker_path(ckpt))).get("fingerprint", "")
-        except (OSError, ValueError):
-            prev = ""
-        if prev and prev != input_fingerprint:
-            raise ValueError(
-                f"resume requested at {out_dir} but the checkpoint was built from a "
-                f"different input (fingerprint {prev!r} != {input_fingerprint!r}); "
-                "use a fresh out_dir or resume=False"
-            )
-    if not resume:
-        # fresh build into a possibly non-empty out_dir: drop every stale
-        # artifact so nothing is appended to or served from a previous run
-        for sub in (CKPT_DIR, DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
-            p = os.path.join(out_dir, sub)
-            if os.path.isdir(p):
-                shutil.rmtree(p)
-    if not (resume and mf.is_complete(ckpt)):
-        # write_parquet APPENDS into an existing directory; a checkpoint dir
-        # without its _SUCCESS marker is an interrupted phase-1 write — wipe
-        # it or a resumed build would index every row twice (ADVICE r1).  The
-        # docs table is derived from the checkpoint, so it goes too.
-        for sub in (CKPT_DIR, DOCS_DIR):
-            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
-        combined = source_ds.map_batches(
-            TokenizePostings(num_partitions, drop_trailing=drop_trailing),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            **({"concurrency": tokenize_concurrency} if tokenize_concurrency else {}),
-        )
-        # The read -> tokenize -> hive-write chain fuses into single tasks, so
-        # postings NEVER cross the object store (which is a serial ~160 MB/s
-        # resource in this sandbox).  Each task emits one file per partition
-        # value; source row groups should therefore be sized so the task
-        # count stays a small multiple of the worker count.
-        combined.write_parquet(ckpt, partition_cols=["partition"])
-        mf.mark_complete(ckpt, {"fingerprint": input_fingerprint})
+    tokenize_to_ckpt(source_ds, out_dir, num_partitions, input_fingerprint, resume=resume,
+                     drop_trailing=drop_trailing, tokenize_concurrency=tokenize_concurrency)
     phase_s = {"parse_tokenize_ckpt": elapsed_s(t0)}
 
     # ---- Phase 2: one job encodes every partition directory and writes
     # the docs table from the doc rows (partition=-1) beside them
     return encode_index(
-        out_dir, num_partitions, None, input_fingerprint, phase_s, "shuffle_and_encode", {},
+        out_dir, num_partitions, [(os.path.join(out_dir, CKPT_DIR), 0, np.empty(0, np.int64))],
+        input_fingerprint, phase_s, "shuffle_and_encode", {},
         resume=resume, segment_max_postings=segment_max_postings,
     )

@@ -731,7 +731,6 @@ def _ingested_index_for(sf_dir: str) -> str:
     if fresh:
         return out
     shutil.rmtree(out, ignore_errors=True)
-    shutil.rmtree(out + ".delta", ignore_errors=True)
 
     base_n = IndexManifest.load(base).max_doc_id
 

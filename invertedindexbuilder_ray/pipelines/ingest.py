@@ -12,8 +12,9 @@ it needs exactly this sequence:
    re-banded or shuffled;
 2. drop the LATER side of every pair (keep-first — corpus docs always
    win over delta docs, earlier delta docs win over later ones);
-3. ``merge.extend_index`` over the surviving delta — byte-identical to
-   rebuilding over the concatenated deduped corpus (merge contract);
+3. ``merge.extend_index`` over the surviving delta: one tokenize pass
+   and one encode job, no delta index — byte-identical to rebuilding
+   over the concatenated deduped corpus (merge contract);
 4. roll the signature checkpoint forward with the survivors' signatures
    so the NEXT delta probes the updated corpus.  The roll writes only the
    delta: the new checkpoint hard-links the old one's signature parts and
@@ -27,6 +28,7 @@ simply ``doc_b`` of each (doc_a < doc_b) pair.  Violations raise.
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -189,11 +191,11 @@ def _extend_sig_ckpt(
     corpus_fingerprint: str = "",
 ) -> str:
     """Roll the corpus signature checkpoint forward with the (already
-    sketched) survivor signatures, under a new fingerprint derived from
-    (corpus fingerprint, new index manifest).  Key derivation goes through
-    dedup's shared ``_sig_ckpt_dir`` and the write through
-    ``_roll_sig_ckpt``, which links the base's files and writes only the
-    survivors.  Returns the NEW fingerprint (chain it into the next
+    sketched) survivor signatures, under a new fingerprint: the md5 of
+    (corpus fingerprint, new index manifest), fixed-length along a chain.
+    Key derivation goes through dedup's shared ``_sig_ckpt_dir`` and the
+    write through ``_roll_sig_ckpt``, which links the base's files and
+    writes only the survivors.  Returns the NEW fingerprint (chain it into the next
     ingest_delta)."""
     from ..state.manifest import IndexManifest
 
@@ -201,7 +203,8 @@ def _extend_sig_ckpt(
 
     man = IndexManifest.load(out_dir)
     base_fp = corpus_fingerprint or _fingerprint(_corpus_path(corpus_source))
-    new_fp = f"{base_fp}+ingest:{man.input_fingerprint}:{man.n_docs}"
+    new_fp = hashlib.md5(
+        f"{base_fp}+ingest:{man.input_fingerprint}:{man.n_docs}".encode()).hexdigest()
     base_ckpt = minhash_signature_ckpt(
         corpus_source, num_perm=num_perm, k=k, ckpt_root=ckpt_root,
         input_fingerprint=corpus_fingerprint,

@@ -6,11 +6,11 @@ The reference performs a k-way merge once, inside its build
 production "compact many incremental indexes" path a training-data
 pipeline needs for rolling ingestion.  Like the reference's merge it is
 one pass straight into the final build: ONE Ray Data job, build's
-encode job (build.encode_index) given the inputs instead of a
+encode job (build.encode_index) given the input indexes instead of a
 checkpoint.
 
   partition p task: decode partition p of every input (one vectorized
-                    compress.decode_partition per input), drop its
+                    compress.decode_partition per index), drop its
                     tombstoned docs, shift its ids by the input's
                     offset, then sort and encode like a build — posting
                     bytes are the reference format, independent of
@@ -21,10 +21,11 @@ checkpoint.
 
 The manifest's ``phase_seconds`` times ``docs_and_stats`` and
 ``encode`` (the job minus the docs task).  ``delete_docs`` is the same
-compaction over one input with an explicit tombstone set.  A compaction
-writes no checkpoint; a resume reuses committed partitions (their
-``parts_meta`` token) and ``docs/`` (its ``_SUCCESS``), and re-reads the
-inputs for the rest.
+compaction over one input with an explicit tombstone set;
+``extend_index`` is a build's tokenize pass plus this job, whose second
+input is that checkpoint (no delta index), deleted after the commit.
+A resume reuses committed partitions (their ``parts_meta`` token) and
+``docs/`` (its ``_SUCCESS``), and re-reads the inputs for the rest.
 
 doc_id contract: inputs were built from consecutive corpus slices in
 list order (webpages-source ids are dense per build), so index i's ids
@@ -41,15 +42,15 @@ write the same rows — asserted by ``tests/test_merge.py``.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import shutil
 
 import numpy as np
 import ray.data as rd
 
 from ..state import manifest as mf
 from ..state.manifest import IndexManifest
-from .build import DOCS_DIR, LEXICON_DIR, PARTS_META_DIR, POSTINGS_DIR, encode_index
+from .build import CKPT_DIR, encode_index, tokenize_to_ckpt
 
 
 def extend_index(
@@ -57,26 +58,29 @@ def extend_index(
     new_source: "rd.Dataset",
     out_dir: str,
     *,
-    delta_dir: str | None = None,
     offset_doc_ids: bool = True,
     resume: bool = True,
 ) -> IndexManifest:
-    """Rolling ingestion: index ``new_source`` as a delta (doc_ids local,
-    i.e. the corpus slice AFTER the existing index's docs), then compact
-    ``index_dir`` + delta into ``out_dir``.  The result is byte-identical
-    to rebuilding over the concatenated corpus (merge_indexes contract).
-    Pass ``offset_doc_ids=False`` when ``new_source`` already carries
-    globally unique ids (documents-table source)."""
-    from .build import build_index
-
+    """Rolling ingestion: tokenize ``new_source`` (doc_ids local, i.e.
+    the corpus slice AFTER the existing index's docs) into ``out_dir``'s
+    checkpoint, compact ``index_dir`` + it into ``out_dir`` in one encode
+    job, then delete it; no delta index is written.  The result is
+    byte-identical to rebuilding over the concatenated corpus
+    (merge_indexes contract).  Pass ``offset_doc_ids=False`` when
+    ``new_source`` already carries globally unique ids (documents-table
+    source).  The fingerprint names the checkpoint's token, so a resume
+    reuses only partitions encoded from this very checkpoint."""
     base = IndexManifest.load(index_dir)
-    if delta_dir is None:
-        delta_dir = os.path.join(out_dir + ".delta")
-    build_index(new_source, delta_dir, num_partitions=base.num_partitions, resume=resume)
-    return merge_indexes(
-        [index_dir, delta_dir], out_dir,
-        offset_doc_ids=offset_doc_ids, resume=resume,
-    )
+    token = tokenize_to_ckpt(new_source, out_dir, base.num_partitions, resume=resume)
+    ckpt = os.path.join(out_dir, CKPT_DIR)
+    tomb = _read_tombstones(index_dir)
+    inputs = [(index_dir, 0, tomb),
+              (ckpt, base.max_doc_id if offset_doc_ids else 0, np.empty(0, np.int64))]
+    fingerprint = _digest([_input_key(index_dir, base, tomb), f"ckpt:{token}"], offset_doc_ids)
+    man = encode_index(out_dir, base.num_partitions, inputs, fingerprint, {}, "encode",
+                       {"extended_from": index_dir}, resume=resume)
+    shutil.rmtree(ckpt)
+    return man
 
 
 def update_docs(
@@ -90,12 +94,12 @@ def update_docs(
     """Document UPDATE = delete + re-add, completing the index CRUD
     lifecycle (build / extend / mark_deleted / delete_docs / merge):
     mark the old versions deleted in ``index_dir`` (query-time, O(|ids|)
-    — readers opened from here on already serve the delete), then index
-    ``new_versions`` (which carry the SAME doc_ids) as a delta and
-    compact; the merge drops the tombstoned old rows, so the output is
-    byte-identical to a rebuild over the corpus with those docs'
-    content replaced.  ``doc_ids`` defaults to the ids present in
-    ``new_versions`` (one bounded column scan)."""
+    — readers opened from here on already serve the delete), then
+    ``extend_index`` with ``new_versions`` (which carry the SAME doc_ids):
+    one tokenize pass and one encode job that drops the tombstoned old
+    rows, so the output is byte-identical to a rebuild over the corpus
+    with those docs' content replaced.  ``doc_ids`` defaults to the ids
+    present in ``new_versions`` (one bounded column scan)."""
     if doc_ids is None:
         doc_ids = [
             int(r["doc_id"])
@@ -136,17 +140,10 @@ def merge_indexes(
     # the Lucene merge contract: the output contains no marked doc and its
     # stats count only survivors.  Local sorted sets, one per input.
     tombs = [_read_tombstones(d) for d in index_dirs]
-    fingerprint = ";".join(
-        f"{d}:{m.input_fingerprint}:{m.n_docs}"
-        + (
-            ":t" + hashlib.md5(t.tobytes()).hexdigest()[:12]
-            if len(t)
-            else ""
-        )
-        for d, m, t in zip(index_dirs, mans, tombs)
-    ) + (";offset" if offset_doc_ids else "")  # the same inputs, other ids
-    return _compact(index_dirs, p, offsets, tombs, out_dir, fingerprint,
-                    resume=resume, stats={"merged_from": index_dirs})
+    fingerprint = _digest(
+        [_input_key(d, m, t) for d, m, t in zip(index_dirs, mans, tombs)], offset_doc_ids)
+    return encode_index(out_dir, p, list(zip(index_dirs, offsets, tombs)), fingerprint,
+                        {}, "encode", {"merged_from": index_dirs}, resume=resume)
 
 
 def delete_docs(
@@ -174,62 +171,26 @@ def delete_docs(
         _checked_doc_ids(tombstones, man.max_doc_id, "delete_docs"),
         _read_tombstones(index_dir),
     )
-    # md5, not hash(): Python's bytes hash is salted per process, which
-    # would break resume fingerprints across runs
-    tomb_digest = hashlib.md5(tomb.tobytes()).hexdigest()[:16]
-    fingerprint = (
-        f"delete:{index_dir}:{man.input_fingerprint}:{man.n_docs}"
-        f":{tomb_digest}"
-    )
-    return _compact(
-        [index_dir], man.num_partitions, [0], [tomb], out_dir, fingerprint, resume=resume,
-        stats={"deleted_from": index_dir, "n_tombstones": int(len(tomb))},
-    )
-
-
-def _compact(
-    index_dirs: list[str],
-    num_partitions: int,
-    offsets: list[int],
-    tombs: list[np.ndarray],
-    out_dir: str,
-    fingerprint: str,
-    *,
-    resume: bool,
-    stats: dict,
-) -> IndexManifest:
-    """Write ``index_dirs`` minus their tombstones (sorted local ids), doc
-    ids shifted by ``offsets``, as one index at ``out_dir``: build's
-    encode job reads every input directly, one task per partition plus
-    the docs task.  ``stats`` joins the manifest's stats with
-    ``phase_seconds``."""
-    import shutil
-
-    os.makedirs(out_dir, exist_ok=True)
-    docs_dir = os.path.join(out_dir, DOCS_DIR)
-    if not resume:
-        for sub in (DOCS_DIR, POSTINGS_DIR, LEXICON_DIR, PARTS_META_DIR):
-            shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
-    # Stale-resume guard (mirrors build_index): resuming into an out_dir whose
-    # docs table came from DIFFERENT inputs must fail loudly, not silently
-    # serve it under a manifest claiming the new inputs.  (Partitions carry
-    # the fingerprint in their parts_meta token and re-encode on a mismatch.)
-    if resume and mf.is_complete(docs_dir):
-        try:
-            with open(mf.marker_path(docs_dir)) as f:
-                prev = json.load(f).get("fingerprint", "")
-        except (OSError, ValueError):
-            prev = ""
-        if prev and prev != fingerprint:
-            raise ValueError(
-                f"resume requested at {out_dir} but its docs table came from "
-                f"different inputs (fingerprint {prev!r} != {fingerprint!r}); "
-                "use a fresh out_dir or resume=False"
-            )
     return encode_index(
-        out_dir, num_partitions, list(zip(index_dirs, offsets, tombs)),
-        fingerprint, {}, "encode", stats, resume=resume,
+        out_dir, man.num_partitions, [(index_dir, 0, tomb)],
+        _digest(["delete", _input_key(index_dir, man, tomb)], False), {}, "encode",
+        {"deleted_from": index_dir, "n_tombstones": int(len(tomb))}, resume=resume,
     )
+
+
+def _input_key(index_dir: str, man: IndexManifest, tomb: np.ndarray) -> str:
+    """One input index in a compaction's fingerprint: path, fingerprint,
+    doc count and tombstones (md5, not the per-process salted hash())."""
+    return f"{index_dir}:{man.input_fingerprint}:{man.n_docs}" + (
+        ":t" + hashlib.md5(tomb.tobytes()).hexdigest()[:12] if len(tomb) else "")
+
+
+def _digest(keys: list[str], offset_doc_ids: bool) -> str:
+    """The md5 of the inputs' keys and of whether ids shift (the same
+    inputs, other ids): fixed-length, so it does not grow along a chain
+    of compactions that each name the previous output's fingerprint."""
+    text = ";".join(keys) + (";offset" if offset_doc_ids else "")
+    return hashlib.md5(text.encode()).hexdigest()
 
 
 def _read_tombstones(index_dir: str) -> np.ndarray:

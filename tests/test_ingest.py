@@ -271,3 +271,23 @@ def test_rolled_ckpt_survives_gc_and_old_layout(ray_session, ckpt_root, tmp_path
     assert {k: rep2b["pairs_probe"][k] for k in ("candidates", "verified")} == {
         k: rep2["pairs_probe"][k] for k in ("candidates", "verified")
     }
+
+
+def test_chained_fingerprints_keep_their_length(ray_session, ckpt_root, tmp_path):
+    """Each ingest names the previous index's and corpus's fingerprints by
+    digest, so neither the manifest's ``input_fingerprint`` nor the rolled
+    corpus fingerprint grows along a chain."""
+    from invertedindexbuilder_ray.pipelines.build import build_index
+    from invertedindexbuilder_ray.pipelines.ingest import ingest_delta
+
+    cur = str(tmp_path / "base")
+    build_index(_docs_table(), cur, num_partitions=2)
+    fp, lengths = "", []
+    for i, text in enumerate((NOVEL_A, NOVEL_B, "lagoon atoll reef lagoon atoll")):
+        out = str(tmp_path / f"out{i}")
+        rep = ingest_delta(cur, SF, _delta_ds([(1000 + i, text)]), out,
+                           corpus_fingerprint=fp)
+        assert rep["n_dropped"] == 0
+        cur, fp = out, rep["corpus_fingerprint"]
+        lengths.append((len(rep["manifest"].input_fingerprint), len(fp)))
+    assert lengths[0] == lengths[1] == lengths[2], lengths

@@ -548,13 +548,78 @@ def test_merge_partial_resume_reencodes_only_lost_partitions(
         assert not os.path.exists(os.path.join(d, "postings_ckpt"))
 
 
+def test_extend_resume_reencodes_only_lost_partitions(ray_session, webpages_medium, tmp_path,
+                                                       monkeypatch):
+    """An extend that crashed after its checkpoint was marked complete and
+    its partitions committed, but before the manifest, resumes from that
+    checkpoint: only the two partitions lost since are encoded again, and
+    the bytes equal a completed extend's.  A partition whose token names
+    another checkpoint is encoded again too."""
+    import json
+
+    from invertedindexbuilder_ray.pipelines.merge import extend_index
+    from invertedindexbuilder_ray.state.manifest import IndexManifest
+
+    for name, sl in (("base", webpages_medium.slice(0, 700)), ("delta", webpages_medium.slice(700))):
+        (tmp_path / name).mkdir()
+        pq.write_table(sl, tmp_path / name / "w.parquet", row_group_size=100)
+    base = str(tmp_path / "ibase")
+    build_index(load_webpages(str(tmp_path / "base")), base, num_partitions=4)
+
+    def extend(out, crash=False):
+        def save(self, index_dir):
+            raise RuntimeError("crash before the manifest commit")
+
+        with monkeypatch.context() as m:
+            if crash:
+                m.setattr(IndexManifest, "save", save)
+            return extend_index(base, load_webpages(str(tmp_path / "delta")), out)
+
+    def encoded(man):
+        return {int(p) for p, m in man.partitions.items() if not m["skipped"]}
+
+    done = str(tmp_path / "done")
+    extend(done)
+    want = _blob_hashes(done), _lexicon_rows(done), _docs_rows(done)
+
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="crash"):
+        extend(out, crash=True)
+    assert os.path.exists(os.path.join(out, "postings_ckpt", "_SUCCESS"))
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    for pid in (0, 2):
+        for sub, ext in (("postings", "bin"), ("lexicon", "parquet"), ("parts_meta", "json")):
+            os.unlink(os.path.join(out, sub, f"part-{pid:05d}.{ext}"))
+    assert encoded(extend(out)) == {0, 2}
+    assert (_blob_hashes(out), _lexicon_rows(out), _docs_rows(out)) == want
+    assert not os.path.exists(os.path.join(out, "postings_ckpt"))
+
+    # the committed extend deleted its checkpoint: this run tokenizes a
+    # new one, then crashes; partition 3 is made to name another token
+    with pytest.raises(RuntimeError, match="crash"):
+        extend(out, crash=True)
+    meta_path = os.path.join(out, "parts_meta", "part-00003.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    meta["ckpt_token"] = "0" * len(meta["ckpt_token"])
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    assert encoded(extend(out)) == {3}
+    assert (_blob_hashes(out), _lexicon_rows(out), _docs_rows(out)) == want
+
+
 def test_ray_data_jobs_per_call(ray_session, tmp_path):
     """A build runs two Ray Data jobs (tokenize + checkpoint, encode); a
-    merge and a delete_docs run one (the encode), counted from Ray Data's
-    "Starting execution" log lines."""
+    merge and a delete_docs run one (the encode), and an extend_index two
+    (the delta's tokenize, the encode), counted from Ray Data's
+    "Starting execution" log lines.  An extend leaves neither its
+    checkpoint nor a delta index behind."""
     import logging
 
-    from invertedindexbuilder_ray.pipelines.merge import delete_docs
+    import pyarrow as pa
+    import ray.data as rd
+
+    from invertedindexbuilder_ray.pipelines.merge import delete_docs, extend_index
     from invertedindexbuilder_ray.sources.documents import load_documents
 
     starts = []
@@ -578,5 +643,12 @@ def test_ray_data_jobs_per_call(ray_session, tmp_path):
         assert jobs(build_index, src, base, num_partitions=4) == 2
         assert jobs(merge_indexes, [base, base], str(tmp_path / "m")) == 1
         assert jobs(delete_docs, base, [1, 2], str(tmp_path / "d")) == 1
+        delta = rd.from_arrow(pa.table({"doc_id": [0, 1], "url": ["u0", "u1"],
+                                        "text": ["fresh words", "more fresh words"],
+                                        "dl": [11, 16]}))
+        ext = str(tmp_path / "e")
+        assert jobs(extend_index, base, delta, ext) == 2
+        assert not os.path.exists(os.path.join(ext, "postings_ckpt"))
+        assert not os.path.exists(ext + ".delta")
     finally:
         logger.removeHandler(handler)
