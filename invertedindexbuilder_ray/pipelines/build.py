@@ -81,15 +81,12 @@ class TokenizePostings:
     same layout a multi-node build would use on shared storage).
     """
 
-    def __init__(self, num_partitions: int, *, drop_trailing: bool = True):
+    def __init__(self, num_partitions: int):
         self.num_partitions = num_partitions
-        self.drop_trailing = drop_trailing
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        terms, p_docs, p_tfs = tokenize_to_postings(
-            batch["text"], doc_ids, drop_trailing=self.drop_trailing
-        )
+        terms, p_docs, p_tfs = tokenize_to_postings(batch["text"], doc_ids, drop_trailing=True)
         n_p = len(p_docs)
         n_d = batch.num_rows
         part = hashing.term_partition(terms, self.num_partitions).astype(np.int32)
@@ -283,49 +280,23 @@ class BuildPartition:
         tbl = pa.concat_tables([_partition_posting_rows(d, pid, off, dead)
                                 for d, off, dead in self.inputs])
         tbl = tbl.sort_by([("term", "ascending"), ("doc_id", "ascending")])
-        terms = tbl["term"].combine_chunks()
         doc_ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         tfs = tbl["tf"].to_numpy(zero_copy_only=False)
-        # term run boundaries via dictionary encoding (ids appear in sorted order)
-        dict_arr = pc.dictionary_encode(terms)
-        if isinstance(dict_arr, pa.ChunkedArray):
-            dict_arr = dict_arr.combine_chunks()
-        codes = np.asarray(dict_arr.indices)
-        term_starts = np.append(np.flatnonzero(np.diff(codes, prepend=-1)), len(codes))
-        uniq_terms = dict_arr.dictionary.to_pylist()
+        # term runs via dictionary encoding (codes appear in sorted order)
+        dict_arr = pc.dictionary_encode(tbl["term"].combine_chunks())
+        term_df = np.bincount(np.asarray(dict_arr.indices), minlength=len(dict_arr.dictionary))
+        term_of, seg_no, seg_starts = _segment_cuts(term_df, self.segment_max_postings)
 
-        # heavy-hitter split: a term with df > segment_max_postings is cut
-        # into doc-range segments, each an independent list (its own delta
-        # base and skip tables) in the reference format.  The reader stitches
-        # segments in doc order, so no worker ever needs a whole hot list in
-        # memory; the lexicon's ``df`` keeps the TERM-TOTAL df for BM25's idf.
-        seg_terms: list[str] = []
-        seg_starts: list[int] = [0]
-        seg_no: list[int] = []
-        seg_total_df: list[int] = []
-        smax = self.segment_max_postings
-        for i, t in enumerate(uniq_terms):
-            s, e = int(term_starts[i]), int(term_starts[i + 1])
-            df_total = e - s
-            n_segs = max(1, (df_total + smax - 1) // smax) if smax else 1
-            size = (df_total + n_segs - 1) // n_segs
-            for j in range(n_segs):
-                seg_terms.append(t)
-                seg_starts.append(min(s + (j + 1) * size, e))
-                seg_no.append(j)
-                seg_total_df.append(df_total)
-        seg_starts_arr = np.array(seg_starts, dtype=np.int64)
-
-        enc = compress.encode_term_lists(seg_terms, seg_starts_arr, doc_ids, tfs)
+        enc = compress.encode_term_lists(seg_starts, doc_ids, tfs)
         mf.atomic_write_bytes(blob_path, enc.blob)
         lex_tbl = pa.table(
             {
-                "term": pa.array(enc.terms, pa.string()),
-                "df": pa.array(np.array(seg_total_df, np.int64), pa.int64()),
-                "seg": pa.array(np.array(seg_no, np.int32), pa.int32()),
+                "term": dict_arr.dictionary.take(pa.array(term_of)),
+                "df": pa.array(term_df[term_of], pa.int64()),
+                "seg": pa.array(seg_no, pa.int32()),
                 "seg_df": pa.array(enc.dfs, pa.int64()),
-                "first_doc": pa.array(doc_ids[seg_starts_arr[:-1]], pa.int64()),
-                "partition": pa.array(np.full(len(enc.terms), pid), pa.int32()),
+                "first_doc": pa.array(doc_ids[seg_starts[:-1]], pa.int64()),
+                "partition": pa.array(np.full(len(term_of), pid), pa.int32()),
                 "offset": pa.array(enc.offsets, pa.int64()),
                 "nbytes": pa.array(enc.nbytes, pa.int64()),
             }
@@ -337,15 +308,41 @@ class BuildPartition:
         meta = {
             "partition": pid,
             "rows": int(len(doc_ids)),
-            "n_terms": int(len(enc.terms)),
+            "n_terms": int(len(term_of)),
             "blob_bytes": int(len(enc.blob)),
-            "wall_s": round(time.perf_counter() - t0, 4),
+            "wall_s": elapsed_s(t0, 4),
             "skipped": False,
             "ckpt_token": self.ckpt_token,
             "format_version": mf.FORMAT_VERSION,
         }
         mf.atomic_write_json(meta_path, meta)
         return meta
+
+
+def _segment_cuts(term_df: np.ndarray, smax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Heavy-hitter split of consecutive term runs with ``term_df``
+    postings -> (term of each segment, its number within the term,
+    posting offsets delimiting the segments).
+
+    A term with df > ``smax`` is cut into n = ceil(df / smax) doc-range
+    segments of ceil(df / n) postings (the last one shorter), each an
+    independent list (its own delta base and skip tables) in the
+    reference format.  The reader stitches segments in doc order, so no
+    worker ever needs a whole hot list in memory; the lexicon's ``df``
+    keeps the TERM-TOTAL df for BM25's idf."""
+    term_start = np.cumsum(term_df) - term_df
+    n_segs = -(-term_df // smax)
+    size = -(-term_df // n_segs)
+    term_of = np.repeat(np.arange(len(term_df)), n_segs)
+    seg_no = np.arange(len(term_of)) - (np.cumsum(n_segs) - n_segs)[term_of]
+    seg_end = np.minimum(term_start[term_of] + (seg_no + 1) * size[term_of],
+                         (term_start + term_df)[term_of])
+    return term_of, seg_no, np.concatenate([[0], seg_end])
+
+
+def _check_segment_max(smax: int) -> None:
+    if smax < 1:
+        raise ValueError(f"segment_max_postings must be >= 1, got {smax}")
 
 
 def encode_index(
@@ -366,7 +363,10 @@ def encode_index(
     (``BuildPartition``), reading ``inputs``.  ``phase_s`` gains
     ``docs_and_stats`` (the docs task's own seconds) and
     ``encode_phase`` (the job's wall minus those), so the phases still
-    add up to the wall.  ``stats`` joins the manifest's stats."""
+    add up to the wall.  ``stats`` joins the manifest's stats, beside
+    ``encode_partition_s`` (p50 and max of the partitions this call
+    encoded; resumed ones are left out)."""
+    _check_segment_max(segment_max_postings)
     t0 = time.perf_counter()
     docs_dir = os.path.join(out_dir, DOCS_DIR)
     if not resume:
@@ -408,6 +408,7 @@ def encode_index(
     phase_s[encode_phase] = elapsed_s(t0 + docs["wall_s"])  # the job minus the docs task
 
     n_docs, sum_dl = docs["n_docs"], docs["sum_dl"]
+    walls = [p["wall_s"] for p in partitions.values() if not p.get("skipped")]
     man = IndexManifest(
         n_docs=n_docs,
         sum_dl=sum_dl,
@@ -420,6 +421,8 @@ def encode_index(
             "total_postings": sum(p.get("rows", 0) for p in partitions.values()),
             "distinct_terms": sum(p.get("n_terms", 0) for p in partitions.values()),
             "index_bytes": sum(p.get("blob_bytes", 0) for p in partitions.values()),
+            "encode_partition_s": {"p50": float(np.median(walls)) if walls else 0.0,
+                                   "max": max(walls, default=0.0)},
             **stats,
             "phase_seconds": phase_s,
         },
@@ -471,8 +474,7 @@ def _fingerprint(source: str | list[str] | rd.Dataset) -> str:
 
 
 def tokenize_to_ckpt(source_ds: rd.Dataset, out_dir: str, num_partitions: int,
-                     input_fingerprint: str = "", *, resume: bool, drop_trailing: bool = True,
-                     tokenize_concurrency: int | None = None) -> str:
+                     input_fingerprint: str = "", *, resume: bool) -> str:
     """Phase 1: parse/tokenize ``source_ds`` into ``out_dir``'s checkpoint
     and return its token, a fresh ``uuid4`` hex kept in its ``_SUCCESS``.
     The write IS the shuffle: rows land in partition=<fnv(term)%P>/ dirs
@@ -503,10 +505,7 @@ def tokenize_to_ckpt(source_ds: rd.Dataset, out_dir: str, num_partitions: int,
     for sub in (CKPT_DIR, DOCS_DIR):
         shutil.rmtree(os.path.join(out_dir, sub), ignore_errors=True)
     combined = source_ds.map_batches(
-        TokenizePostings(num_partitions, drop_trailing=drop_trailing),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        **({"concurrency": tokenize_concurrency} if tokenize_concurrency else {}),
+        TokenizePostings(num_partitions), batch_format="pyarrow", zero_copy_batch=True
     )
     # The read -> tokenize -> hive-write chain fuses into single tasks, so
     # postings NEVER cross the object store (which is a serial ~160 MB/s
@@ -524,9 +523,7 @@ def build_index(
     out_dir: str,
     *,
     num_partitions: int = 16,
-    drop_trailing: bool = True,
     resume: bool = True,
-    tokenize_concurrency: int | None = None,
     input_fingerprint: str = "",
     segment_max_postings: int = 1_000_000,
 ) -> IndexManifest:
@@ -535,9 +532,9 @@ def build_index(
     ``source_ds`` comes from ``sources.webpages.load_webpages`` (quirk-
     faithful doc_ids) or ``sources.documents.load_documents``.
     """
+    _check_segment_max(segment_max_postings)
     t0 = time.perf_counter()
-    tokenize_to_ckpt(source_ds, out_dir, num_partitions, input_fingerprint, resume=resume,
-                     drop_trailing=drop_trailing, tokenize_concurrency=tokenize_concurrency)
+    tokenize_to_ckpt(source_ds, out_dir, num_partitions, input_fingerprint, resume=resume)
     phase_s = {"parse_tokenize_ckpt": elapsed_s(t0)}
 
     # ---- Phase 2: one job encodes every partition directory and writes

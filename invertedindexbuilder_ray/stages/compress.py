@@ -20,12 +20,13 @@ Opening a list (:func:`open_list`) reads only the three header varints;
 ``B`` and the payload offset follow from them.  The skip table is
 decoded on first seek, and a bulk decode from block 0 never reads it.
 
-Encoding is batched: callers encode a whole partition's postings with
-three vectorized VarByte calls (deltas, tfs, headers) and per-term
-assembly is slicing, so the per-term Python overhead is small.  This
-runs inside the index-build actor pool.  Decoding a whole partition is
-batched the same way (:func:`decode_partition`, used by merge): one
-VarByte call over every list's bytes, no per-list Python.
+Encoding is batched: :func:`encode_term_lists` encodes a whole
+partition with five VarByte calls (deltas, tfs, block last docs, block
+byte sizes, headers) and assembles every list, of any length, by one
+range gather, with no per-list Python.  This runs inside the encode
+job's tasks.  Decoding a whole partition is batched the same way
+(:func:`decode_partition`, used by merge): one VarByte call over every
+list's bytes, no per-list Python.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ class EncodedPartition:
     """All posting blobs of one partition, concatenated, plus lexicon data."""
 
     blob: bytes
-    terms: list[str]
-    dfs: np.ndarray        # int64 per term
-    offsets: np.ndarray    # int64 byte offset of each term's list in blob
-    nbytes: np.ndarray     # int64 byte length of each term's list
+    dfs: np.ndarray        # int64 per list
+    offsets: np.ndarray    # int64 byte offset of each list in blob
+    nbytes: np.ndarray     # int64 byte length of each list
 
 
 def bm25_components(
@@ -63,139 +63,75 @@ def bm25_components(
 
 
 def encode_term_lists(
-    terms: list[str],
-    term_starts: np.ndarray,
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
+    term_starts: np.ndarray, doc_ids: np.ndarray, tfs: np.ndarray
 ) -> EncodedPartition:
-    """Encode many terms' postings at once.
+    """Encode many lists' postings at once, the inverse of
+    :func:`decode_partition`.
 
-    ``term_starts`` (len = n_terms + 1) delimits each term's slice of the
-    sorted ``doc_ids`` / ``tfs`` arrays (ascending doc_id within term).
+    ``term_starts`` (len = n_lists + 1) delimits each list's slice of the
+    sorted ``doc_ids`` / ``tfs`` arrays (ascending doc_id within a list).
+    Five VarByte calls cover the partition: deltas, tfs, every block's
+    last doc, every block's byte size, and the three header values of
+    every list.  List ``i`` is then ``3 + 2 B_i`` byte ranges of those
+    buffers (header, ldoc table, bsize table, then deltas and tfs per
+    block), all gathered in one pass.  The blob holds the single-block
+    lists first and the multi-block ones after, each group in list order.
     """
-    n_terms = len(terms)
+    term_starts = np.asarray(term_starts, dtype=np.int64)
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    dfs = np.diff(term_starts).astype(np.int64)
+    dfs = np.diff(term_starts)
+    n = len(dfs)
 
-    # deltas: within-term diff; first posting of each term keeps its absolute id
-    deltas = np.empty_like(doc_ids)
-    if len(doc_ids):
-        deltas[0] = doc_ids[0]
-        deltas[1:] = doc_ids[1:] - doc_ids[:-1]
-        deltas[term_starts[:-1][term_starts[:-1] < len(doc_ids)]] = doc_ids[
-            term_starts[:-1][term_starts[:-1] < len(doc_ids)]
-        ]
+    # deltas: within-list diff; the first posting of a list keeps its absolute id
+    firsts = term_starts[:-1][dfs > 0]
+    deltas = np.diff(doc_ids, prepend=0)
+    deltas[firsts] = doc_ids[firsts]
+    enc_d, sz_d = varbyte.encode(deltas)
+    enc_t, sz_t = varbyte.encode(tfs)
+    dcum = np.concatenate([[0], np.cumsum(sz_d)])  # byte offset of posting j
+    tcum = np.concatenate([[0], np.cumsum(sz_t)])
 
-    enc_deltas, sz_deltas = varbyte.encode(deltas)
-    enc_tfs, sz_tfs = varbyte.encode(tfs)
-    dend = np.cumsum(sz_deltas)
-    dstart = dend - sz_deltas
-    tend = np.cumsum(sz_tfs)
-    tstart = tend - sz_tfs
+    # blocks: list of each block, its posting range [bs, be)
+    n_blocks = -(-dfs // BLOCK_SIZE)
+    list_of = np.repeat(np.arange(n), n_blocks)
+    first_block = np.cumsum(n_blocks) - n_blocks
+    blk = np.arange(len(list_of)) - first_block[list_of]  # block number within its list
+    bs = term_starts[list_of] + BLOCK_SIZE * blk
+    be = np.minimum(bs + BLOCK_SIZE, term_starts[list_of + 1])
+    enc_ld, sz_ld = varbyte.encode(doc_ids[be - 1])
+    enc_bn, sz_bn = varbyte.encode(dcum[be] - dcum[bs] + tcum[be] - tcum[bs])
+    ld_cum = np.concatenate([[0], np.cumsum(sz_ld)])
+    bn_cum = np.concatenate([[0], np.cumsum(sz_bn)])
+    last_block = first_block + n_blocks
+    ld_len = ld_cum[last_block] - ld_cum[first_block]
+    bn_len = bn_cum[last_block] - bn_cum[first_block]
+    enc_h, sz_h = varbyte.encode(np.stack([dfs, ld_len, bn_len], axis=1).ravel())
+    h_len = sz_h.reshape(n, 3).sum(axis=1)
 
-    # fast path: single-block terms (df <= 128, the overwhelming majority in a
-    # Zipf vocabulary) are assembled fully vectorized; only multi-block terms
-    # fall back to the per-term loop below.
-    single = dfs <= BLOCK_SIZE
-    multi_idx = np.flatnonzero(~single)
-    offsets = np.zeros(n_terms, dtype=np.int64)
-    lengths = np.zeros(n_terms, dtype=np.int64)
-    fast_blob = b""
-    if single.any():
-        s_idx = np.flatnonzero(single)
-        fast_blob, f_off, f_len = _encode_single_block_fast(
-            term_starts, doc_ids, dfs, dstart, dend, tstart, tend,
-            enc_deltas, enc_tfs, s_idx,
-        )
-        offsets[s_idx] = f_off
-        lengths[s_idx] = f_len
+    # ranges into src = enc_h | enc_ld | enc_bn | enc_d | enc_t, list by list
+    # in blob order: single-block lists first (a stable sort keeps list order)
+    base = np.cumsum([0, len(enc_h), len(enc_ld), len(enc_bn), len(enc_d)])
+    order = np.argsort(n_blocks > 1, kind="stable")
+    n_ranges = 3 + 2 * n_blocks
+    first_range = np.empty(n, dtype=np.int64)
+    first_range[order] = np.cumsum(n_ranges[order]) - n_ranges[order]
+    starts = np.empty(int(n_ranges.sum()), dtype=np.int64)
+    lens = np.empty_like(starts)
+    head = first_range[:, None] + np.arange(3)
+    starts[head] = np.stack([np.cumsum(h_len) - h_len + base[0], ld_cum[first_block] + base[1],
+                             bn_cum[first_block] + base[2]], axis=1)
+    lens[head] = np.stack([h_len, ld_len, bn_len], axis=1)
+    pay = first_range[list_of] + 3 + 2 * blk
+    starts[pay], lens[pay] = dcum[bs] + base[3], dcum[be] - dcum[bs]
+    starts[pay + 1], lens[pay + 1] = tcum[bs] + base[4], tcum[be] - tcum[bs]
+    src = np.concatenate([enc_h, enc_ld, enc_bn, enc_d, enc_t])
+    blob = src[_gather_ranges(starts, lens)]
 
-    pieces: list[bytes] = []
-    pos = len(fast_blob)
-    for i in multi_idx:
-        s, e = int(term_starts[i]), int(term_starts[i + 1])
-        df = e - s
-        block_bounds = np.arange(s, e + BLOCK_SIZE, BLOCK_SIZE)
-        block_bounds[-1] = e
-        if block_bounds[-2] >= e:
-            block_bounds = block_bounds[:-1]
-        last_docs = doc_ids[block_bounds[1:] - 1]
-        # per-block payload bytes = sum of delta sizes + tf sizes in the block
-        dbytes = dend[block_bounds[1:] - 1] - dstart[block_bounds[:-1]]
-        tbytes = tend[block_bounds[1:] - 1] - tstart[block_bounds[:-1]]
-        block_nbytes = dbytes + tbytes
-
-        enc_ldoc, _ = varbyte.encode(last_docs)
-        enc_bsize, _ = varbyte.encode(block_nbytes)
-        header, _ = varbyte.encode(
-            np.array([df, len(enc_ldoc), len(enc_bsize)], dtype=np.int64)
-        )
-        parts = [header.tobytes(), enc_ldoc.tobytes(), enc_bsize.tobytes()]
-        for b0, b1 in zip(block_bounds[:-1], block_bounds[1:]):
-            parts.append(enc_deltas[dstart[b0] : dend[b1 - 1]].tobytes())
-            parts.append(enc_tfs[tstart[b0] : tend[b1 - 1]].tobytes())
-        blob_i = b"".join(parts)
-        pieces.append(blob_i)
-        offsets[i] = pos
-        lengths[i] = len(blob_i)
-        pos += len(blob_i)
-
-    return EncodedPartition(
-        blob=fast_blob + b"".join(pieces),
-        terms=list(terms),
-        dfs=dfs,
-        offsets=offsets,
-        nbytes=lengths,
-    )
-
-
-def _encode_single_block_fast(
-    term_starts: np.ndarray,
-    doc_ids: np.ndarray,
-    dfs: np.ndarray,
-    dstart: np.ndarray,
-    dend: np.ndarray,
-    tstart: np.ndarray,
-    tend: np.ndarray,
-    enc_deltas: np.ndarray,
-    enc_tfs: np.ndarray,
-    idx: np.ndarray,
-) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """Vectorized assembly of all single-block term lists in one pass.
-
-    Each list is ``df(vb) ldoc_sz(vb) bsz_sz(vb) last_doc(vb)
-    block_nbytes(vb) deltas tfs`` — seven source ranges per term,
-    materialized with one range gather instead of a Python loop.
-    Returns (blob, per-term offsets, lengths).
-    """
-    starts = term_starts[idx]
-    ends = term_starts[idx + 1]
-    payload_d = dend[ends - 1] - dstart[starts]
-    payload_t = tend[ends - 1] - tstart[starts]
-
-    enc_df, sz_df = varbyte.encode(dfs[idx])
-    enc_ld, sz_ld = varbyte.encode(doc_ids[ends - 1])
-    enc_bn, sz_bn = varbyte.encode(payload_d + payload_t)
-    enc_szld, sz_szld = varbyte.encode(sz_ld)  # ldoc table byte size (1 block)
-    enc_szbn, sz_szbn = varbyte.encode(sz_bn)
-
-    # one source buffer; piece k of every term is a range of source k
-    sources = (enc_df, enc_szld, enc_szbn, enc_ld, enc_bn, enc_deltas, enc_tfs)
-    base = np.cumsum([0] + [len(a) for a in sources[:-1]])
-    piece_src = np.stack(
-        [base[k] + np.cumsum(sz) - sz
-         for k, sz in enumerate((sz_df, sz_szld, sz_szbn, sz_ld, sz_bn))]
-        + [base[5] + dstart[starts], base[6] + tstart[starts]],
-        axis=1,
-    )
-    piece_len = np.stack(
-        [sz_df, sz_szld, sz_szbn, sz_ld, sz_bn, payload_d, payload_t], axis=1
-    )
-    blob = np.concatenate(sources)[_gather_ranges(piece_src.ravel(), piece_len.ravel())]
-
-    term_len = piece_len.sum(axis=1)
-    return blob.tobytes(), np.cumsum(term_len) - term_len, term_len
+    nbytes = h_len + ld_len + bn_len + (dcum[term_starts[1:]] - dcum[term_starts[:-1]]
+                                        + tcum[term_starts[1:]] - tcum[term_starts[:-1]])
+    offsets = np.empty(n, dtype=np.int64)
+    offsets[order] = np.cumsum(nbytes[order]) - nbytes[order]
+    return EncodedPartition(blob=blob.tobytes(), dfs=dfs, offsets=offsets, nbytes=nbytes)
 
 
 # decoded on first access (DecodedList.parse_skip_table)
@@ -302,17 +238,6 @@ def open_list(buf: np.ndarray) -> DecodedList:
             return DecodedList(buf, head[0], i + 1, head[1], head[2])
         v = shift = 0
     raise ValueError(f"list header truncated: {len(head)} of 3 varints in {len(buf)} bytes")
-
-
-def decode_full(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a whole list -> (doc_ids, tfs) in one vectorized pass.
-
-    All VarByte values of the payload are decoded with a single
-    terminator scan; the per-block (deltas, tfs) interleaving is then
-    undone with an index mask.  Doc-id deltas carry across blocks, so a
-    plain cumsum over every delta reconstructs absolute ids.
-    """
-    return decode_all_blocks(open_list(buf))
 
 
 def decode_all_blocks(dl: "DecodedList", from_block: int = 0) -> tuple[np.ndarray, np.ndarray]:

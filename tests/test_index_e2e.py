@@ -127,6 +127,9 @@ def test_partial_resume_rebuilds_identical_bytes(built_index, tmp_path):
         assert man2.partitions[str(pid)]["skipped"] is False
     for pid in (1, 3):
         assert man2.partitions[str(pid)]["skipped"] is True
+    # the per-partition encode seconds cover only the two re-encoded partitions
+    walls = [man2.partitions[str(pid)]["wall_s"] for pid in victims]
+    assert man2.stats["encode_partition_s"] == {"p50": sum(walls) / 2, "max": max(walls)}
 
 
 def test_resume_skips_completed_partitions(built_index, webpages_medium):

@@ -69,7 +69,8 @@ def test_merge_accounts_phase_seconds(ray_session, webpages_small, tmp_path):
     """build_index and merge_indexes time their own phases under fixed
     keys (the merge shares build_index's ``docs_and_stats``): the docs
     task reports its own non-zero seconds, and the phases add up to no
-    more than the call's wall."""
+    more than the call's wall.  ``encode_partition_s`` gives the p50 and
+    max of the partitions' own seconds, which fit in the encode phase."""
     import time
 
     runs = []
@@ -91,6 +92,9 @@ def test_merge_accounts_phase_seconds(ray_session, webpages_small, tmp_path):
         assert sorted(ph) == keys
         assert ph["docs_and_stats"] > 0 and all(v >= 0 for v in ph.values())
         assert sum(ph.values()) <= wall, (ph, wall)
+        part = man.stats["encode_partition_s"]
+        assert sorted(part) == ["max", "p50"]
+        assert 0 < part["p50"] <= part["max"] <= ph[keys[-1]], (part, ph)
     assert "merge_encode_s" not in man_m.stats
 
 

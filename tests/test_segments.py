@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -183,3 +184,46 @@ def test_reader_df_without_cursor(grammar_indexes, two_indexes):
         for term in r.lexicon:
             assert r.df(term) == r.open_list(term).df, term
         assert r.df("missingzzz") == 0
+
+
+@pytest.mark.parametrize("smax", [1_000_000, 300, 50, 1])
+def test_segment_cuts_match_reference_loop(smax):
+    """The vectorized heavy-hitter cut equals the per-term loop it replaced."""
+    from invertedindexbuilder_ray.pipelines.build import _segment_cuts
+
+    rng = np.random.default_rng(5)
+    term_df = np.minimum(rng.zipf(1.3, size=3_000), 5_000).astype(np.int64)
+    want_term, want_seg, want_starts = [], [], [0]
+    s = 0
+    for t, df in enumerate(term_df.tolist()):
+        n_segs = max(1, (df + smax - 1) // smax)
+        size = (df + n_segs - 1) // n_segs
+        for j in range(n_segs):
+            want_term.append(t)
+            want_seg.append(j)
+            want_starts.append(min(s + (j + 1) * size, s + df))
+        s += df
+    term_of, seg_no, seg_starts = _segment_cuts(term_df, smax)
+    assert term_of.tolist() == want_term
+    assert seg_no.tolist() == want_seg
+    assert seg_starts.tolist() == want_starts
+    assert (np.diff(seg_starts) <= smax).all()
+
+
+@pytest.mark.parametrize("smax", [0, -1])
+def test_segment_max_postings_must_be_positive(ray_session, webpages_small, tmp_path, smax):
+    """``segment_max_postings`` < 1 is rejected before anything is written
+    (0 used to mean "never split")."""
+    from invertedindexbuilder_ray.pipelines.build import encode_index
+
+    src = tmp_path / "wp"
+    src.mkdir()
+    pq.write_table(webpages_small, src / "a.parquet")
+    out = tmp_path / "idx"
+    with pytest.raises(ValueError, match="segment_max_postings"):
+        build_index(load_webpages(str(src)), str(out), num_partitions=2,
+                    segment_max_postings=smax)
+    with pytest.raises(ValueError, match="segment_max_postings"):
+        encode_index(str(out), 2, [], "", {}, "encode", {}, resume=False,
+                     segment_max_postings=smax)
+    assert not out.exists()
