@@ -365,7 +365,8 @@ def encode_index(
     ``encode_phase`` (the job's wall minus those), so the phases still
     add up to the wall.  ``stats`` joins the manifest's stats, beside
     ``encode_partition_s`` (p50 and max of the partitions this call
-    encoded; resumed ones are left out)."""
+    encoded; resumed ones are left out) and ``segment_max_postings``,
+    which every later compaction of the index inherits."""
     _check_segment_max(segment_max_postings)
     t0 = time.perf_counter()
     docs_dir = os.path.join(out_dir, DOCS_DIR)
@@ -423,6 +424,7 @@ def encode_index(
             "index_bytes": sum(p.get("blob_bytes", 0) for p in partitions.values()),
             "encode_partition_s": {"p50": float(np.median(walls)) if walls else 0.0,
                                    "max": max(walls, default=0.0)},
+            "segment_max_postings": segment_max_postings,
             **stats,
             "phase_seconds": phase_s,
         },

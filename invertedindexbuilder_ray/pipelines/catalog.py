@@ -898,7 +898,7 @@ def q_score_explain(sf_dir: str):
     """The "explain" debug surface every serving engine exposes: the
     per-term BM25 breakdown (term, tf, df, contrib) of the top
     conjunctive hit, read through the REAL index (lexicon lookup +
-    posting-cursor seek per term — the exact path a production explain
+    posting-list probe per term — the exact path a production explain
     endpoint would take).  Top-1 selected under (rounded score desc,
     doc_id asc) so both engines agree even when raw scores differ by an
     ulp inside one rounding bucket."""
@@ -925,13 +925,18 @@ def q_score_explain(sf_dir: str):
     rows = []
     for t in sorted(terms):
         c = r.open_list(t)
-        if c is None or c.seek_geq(top) != top:
+        if c is None:
             continue
+        docs, tfs = c.decode_all_remaining()
+        i = int(np.searchsorted(docs, top))
+        if i == len(docs) or docs[i] != top:
+            continue
+        tf = int(tfs[i])
         idf = np.log2((r.n_docs - c.df + 0.5) / (c.df + 0.5))
-        den = 1.2 * (0.25 + 0.75 * r.doc_len(top) / r.d_avr) + c.curr_freq
+        den = 1.2 * (0.25 + 0.75 * r.doc_len(top) / r.d_avr) + tf
         rows.append(
-            {"term": t, "tf": int(c.curr_freq), "df": int(c.df),
-             "contrib": round_half_away(idf * 2.2 * c.curr_freq / den, 6)}
+            {"term": t, "tf": tf, "df": int(c.df),
+             "contrib": round_half_away(idf * 2.2 * tf / den, 6)}
         )
     return pd.DataFrame(rows, columns=cols)
 

@@ -26,6 +26,8 @@ compaction over one input with an explicit tombstone set;
 input is that checkpoint (no delta index), deleted after the commit.
 A resume reuses committed partitions (their ``parts_meta`` token) and
 ``docs/`` (its ``_SUCCESS``), and re-reads the inputs for the rest.
+Every compaction cuts heavy-hitter segments at the inputs' recorded
+``segment_max_postings``.
 
 doc_id contract: inputs were built from consecutive corpus slices in
 list order (webpages-source ids are dense per build), so index i's ids
@@ -78,7 +80,8 @@ def extend_index(
               (ckpt, base.max_doc_id if offset_doc_ids else 0, np.empty(0, np.int64))]
     fingerprint = _digest([_input_key(index_dir, base, tomb), f"ckpt:{token}"], offset_doc_ids)
     man = encode_index(out_dir, base.num_partitions, inputs, fingerprint, {}, "encode",
-                       {"extended_from": index_dir}, resume=resume)
+                       {"extended_from": index_dir}, resume=resume,
+                       segment_max_postings=_segment_max([base]))
     shutil.rmtree(ckpt)
     return man
 
@@ -130,6 +133,7 @@ def merge_indexes(
             "merge_indexes requires identical num_partitions across inputs "
             f"(got {[m.num_partitions for m in mans]})"
         )
+    smax = _segment_max(mans)
     offsets = []
     acc = 0
     for m in mans:
@@ -143,7 +147,8 @@ def merge_indexes(
     fingerprint = _digest(
         [_input_key(d, m, t) for d, m, t in zip(index_dirs, mans, tombs)], offset_doc_ids)
     return encode_index(out_dir, p, list(zip(index_dirs, offsets, tombs)), fingerprint,
-                        {}, "encode", {"merged_from": index_dirs}, resume=resume)
+                        {}, "encode", {"merged_from": index_dirs}, resume=resume,
+                        segment_max_postings=smax)
 
 
 def delete_docs(
@@ -175,7 +180,17 @@ def delete_docs(
         out_dir, man.num_partitions, [(index_dir, 0, tomb)],
         _digest(["delete", _input_key(index_dir, man, tomb)], False), {}, "encode",
         {"deleted_from": index_dir, "n_tombstones": int(len(tomb))}, resume=resume,
+        segment_max_postings=_segment_max([man]),
     )
+
+
+def _segment_max(mans: list[IndexManifest]) -> int:
+    """The inputs' recorded ``segment_max_postings`` (1M if unrecorded),
+    which their compaction keeps; inputs that differ raise ``ValueError``."""
+    vals = {m.stats.get("segment_max_postings", 1_000_000) for m in mans}
+    if len(vals) > 1:
+        raise ValueError(f"inputs differ in segment_max_postings: {sorted(vals)}")
+    return vals.pop()
 
 
 def _input_key(index_dir: str, man: IndexManifest, tomb: np.ndarray) -> str:

@@ -25,7 +25,9 @@ walk, and ranks through the same selection (:meth:`QueryEngine._topk`):
   matches are then scored in one vectorized pass.
 
 :meth:`QueryEngine.rank` is the one mode dispatcher: ``search`` parses a
-query string and calls it, and so does every shard of pipelines/shards.py.
+query string and calls it, and so does every shard of pipelines/shards.py
+for all five modes.  :func:`check_query` is the one argument check, run by
+``rank`` and by ``ShardedEngine`` before its first RPC.
 Batch evaluation over a query table runs as an actor pool:
 ``queries_ds.map_batches(BatchQueryEngine, concurrency=N)`` — the index
 reader (lexicon + doc table) loads once per actor in ``__init__``.
@@ -48,9 +50,19 @@ MSM = 4     # extension: minimum-should-match (>= m of n terms; m via msm col)
 
 
 def check_k(k: int) -> None:
-    """One rule for every tier: k = 0 ranks nothing, k < 0 is an error."""
+    """k = 0 ranks nothing, k < 0 is an error."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k!r}")
+
+
+def check_query(mode: int, k: int, msm: int = 1) -> None:
+    """The one argument check of every tier, run before any work: an
+    unknown mode, k < 0, and m < 1 under MSM raise ``ValueError``."""
+    if mode not in (CONJUNCTIVE, DISJUNCTIVE, ANDNOT, CNF, MSM):
+        raise ValueError(f"unknown query mode {mode!r}: expected 0-4")
+    check_k(k)
+    if mode == MSM and msm < 1:
+        raise ValueError(f"min_should_match: m must be >= 1, got {msm}")
 
 
 def parse_terms(query: str) -> list[str]:
@@ -139,7 +151,7 @@ class QueryEngine:
         # therefore not distributable (see _total_topk)
         self.total_order_topk = total_order_topk
         # sharded serving (pipelines/shards.py) injects corpus-GLOBAL term
-        # dfs here (with reader.n_docs/d_avr overridden alongside) so a
+        # dfs here (and the global n_docs/d_avr into the reader once) so a
         # shard's scores are bit-identical to the monolithic computation
         self.df_override: dict[str, int] = {}
 
@@ -295,9 +307,10 @@ class QueryEngine:
         docs_cat = np.concatenate(per_list)
         scores_cat = np.concatenate(scores)
         max_doc = r.max_doc_id
-        if max_doc <= 16 * len(docs_cat) + (1 << 20):
+        if max_doc <= 16 * len(docs_cat):
             # dense doc-id space: O(n + N) bincount beats the O(n log n)
-            # sort; both accumulate in input order -> identical float sums
+            # sort, which a small union takes; both accumulate in input
+            # order -> identical float sums
             counts = np.bincount(docs_cat, minlength=max_doc)
             uniq = np.flatnonzero(counts > 0)  # ~3x faster than over int64
             sums = np.bincount(docs_cat, weights=scores_cat, minlength=max_doc)[uniq]
@@ -357,10 +370,9 @@ class QueryEngine:
         shape): docs matching >= ``m`` of the n distinct query terms,
         scored as the sum of their matched terms' BM25 — ``m=1`` is
         bit-identical to disjunctive, ``m=n`` to the conjunctive match
-        set.  The sharded tier does not serve it: ``ShardedEngine`` has
-        no ``m`` operand and raises for this mode."""
-        if m <= 0:
-            raise ValueError(f"min_should_match: m must be >= 1, got {m}")
+        set.  Coverage is per doc, so it composes over document shards
+        (``ShardedEngine`` passes ``msm`` through to every shard)."""
+        check_query(MSM, k, m)
         # dedupe preserving order: _open_lists df-sorts stably, so df ties
         # keep the query's term order and float sums stay bit-identical to
         # the disjunctive path at m=1
@@ -378,9 +390,7 @@ class QueryEngine:
         """Top-k ``(doc, score)`` of one parsed query — the mode dispatcher
         of every tier.  ``terms`` is the term list, or the groups for CNF;
         ``neg`` holds the ANDNOT exclusions and ``msm`` the MSM threshold."""
-        if mode not in (CONJUNCTIVE, DISJUNCTIVE, ANDNOT, CNF, MSM):
-            raise ValueError(f"unknown query mode {mode!r}: expected 0-4")
-        check_k(k)
+        check_query(mode, k, msm)
         if mode == CONJUNCTIVE:
             return self.conjunctive(terms, k)
         if mode == DISJUNCTIVE:

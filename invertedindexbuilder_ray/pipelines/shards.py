@@ -13,13 +13,18 @@ merge on the driver.
 Rank identity with the monolithic index is NOT automatic — BM25 scores
 depend on corpus-GLOBAL statistics — and is achieved by injecting them:
 
-1. a df prepass sums each query term's document frequency across shards
-   (lexicon lookups only, no posting decode);
+1. a df prepass sums each scored term's document frequency across shards
+   (lexicon lookups only, no posting decode): the CNF groups flattened,
+   or the positive terms (ANDNOT's negative terms only exclude);
 2. every shard scores with the global (n_docs, d_avr, df) triple, so a
-   doc's score is bit-identical to the monolithic computation;
+   doc's score is bit-identical to the monolithic computation.  (n_docs,
+   d_avr) are static, so each shard actor receives them once at
+   construction; the per-query RPC carries only the query's global dfs;
 3. a term that exists globally but not in a shard makes that shard
-   return nothing for conjunctive queries (the monolithic AND could
-   never match its docs) instead of silently AND-ing fewer terms;
+   return nothing for AND and for ANDNOT's positive terms (the monolithic
+   AND could never match its docs) instead of silently AND-ing fewer
+   terms.  CNF coverage, MSM counts and ANDNOT exclusions are per doc,
+   hence shard-local already;
 4. selection runs under the deterministic TOTAL ORDER (score desc,
    doc_id asc) at every level — per-shard engines are constructed with
    ``total_order_topk=True`` and the merge re-selects under the same
@@ -37,8 +42,9 @@ top-ks, so sharded serving defines its semantics as the total order
 above: same scores, deterministic tie membership and order.  The
 monolithic engine keeps the quirk heap for reference conformance.
 
-Each shard ranks through the monolithic engine's own mode dispatcher
-(``QueryEngine.rank``) under the injected stats.
+Each shard ranks every mode through the monolithic engine's own mode
+dispatcher (``QueryEngine.rank``) under the injected stats, and
+``query.check_query`` checks the arguments before any RPC.
 
 doc_id contract matches ``merge_indexes``: shard i's local ids shift by
 the sum of earlier shards' ``max_doc_id``.
@@ -48,19 +54,8 @@ from __future__ import annotations
 
 from ..state.manifest import IndexManifest
 from .query import (
-    CNF, CONJUNCTIVE, DISJUNCTIVE, _total_topk, check_k, parse_groups, parse_terms,
+    ANDNOT, CNF, CONJUNCTIVE, _total_topk, check_query, parse_groups, parse_terms,
 )
-
-# the modes a shard can serve; ANDNOT and MSM have no operand on this tier
-SHARD_MODES = (CONJUNCTIVE, DISJUNCTIVE, CNF)
-
-
-def _check_mode(mode: int) -> None:
-    if mode not in SHARD_MODES:
-        raise ValueError(
-            f"sharded search supports modes {SHARD_MODES} "
-            f"(AND, OR, CNF), got {mode!r}"
-        )
 
 
 def _make_searcher():
@@ -69,14 +64,17 @@ def _make_searcher():
     @ray.remote
     class ShardSearcher:
         """One warm engine per corpus shard (lexicon + doc table loaded
-        once, reused across queries)."""
+        once, reused across queries), scoring under the corpus-global
+        (n_docs, d_avr) written into its reader once."""
 
-        def __init__(self, index_dir: str, doc_id_offset: int, conformance: bool):
+        def __init__(self, index_dir: str, doc_id_offset: int, conformance: bool,
+                     n_docs: int, d_avr: float):
             from .query import QueryEngine
 
             self.engine = QueryEngine(
                 index_dir, conformance=conformance, total_order_topk=True
             )
+            self.engine.reader.n_docs, self.engine.reader.d_avr = n_docs, d_avr
             self.offset = doc_id_offset
 
         def term_dfs(self, terms: list[str]) -> dict[str, int]:
@@ -84,32 +82,17 @@ def _make_searcher():
             return {t: df for t in set(terms) if (df := r.df(t))}
 
         def search(
-            self,
-            terms: list[str],
-            k: int,
-            mode: int,
-            n_docs: int,
-            d_avr: float,
-            dfs: dict[str, int],
+            self, terms: list, k: int, mode: int, dfs: dict[str, int], neg, msm: int
         ) -> list[tuple[int, float]]:
-            _check_mode(mode)
             eng = self.engine
-            r = eng.reader
-            if mode == CONJUNCTIVE and any(
-                t in dfs and not r.df(t) for t in terms
+            if mode in (CONJUNCTIVE, ANDNOT) and any(
+                t in dfs and not eng.reader.df(t) for t in terms
             ):
                 # globally-present term absent from this shard: no local doc
                 # can satisfy the monolithic AND
                 return []
-            saved = (r.n_docs, r.d_avr, eng.df_override)
-            r.n_docs, r.d_avr = n_docs, d_avr
-            eng.df_override = dfs
-            try:
-                # CNF coverage is per doc, so a group with no term in this
-                # shard correctly yields [] here (its docs live elsewhere)
-                ranked = eng.rank(terms, k, mode)
-            finally:
-                r.n_docs, r.d_avr, eng.df_override = saved
+            eng.df_override = dfs  # global dfs never change: nothing to restore
+            ranked = eng.rank(terms, k, mode, neg=neg, msm=msm)
             return [(doc + self.offset, score) for doc, score in ranked]
 
     return ShardSearcher
@@ -140,52 +123,39 @@ class ShardedEngine:
         self.actors = []
         off = 0
         for d, m in zip(index_dirs, mans):
-            self.actors.append(cls.remote(d, off if offset_doc_ids else 0, conformance))
+            self.actors.append(cls.remote(d, off if offset_doc_ids else 0, conformance,
+                                          self.n_docs, self.d_avr))
             off += m.max_doc_id
         # term dfs are static per index — cache so repeated vocabulary
         # skips the prepass RPC round (0 = globally absent)
         self._df_cache: dict[str, int] = {}
 
     def search_terms(
-        self, terms: list[str], k: int = 10, mode: int = CONJUNCTIVE
+        self, terms: list, k: int = 10, mode: int = CONJUNCTIVE, *, neg=(), msm: int = 1
     ) -> list[tuple[int, float]]:
-        """``mode`` is AND, OR or CNF; any other mode, and k < 0, raise
-        ``ValueError`` before any RPC; k = 0 returns []."""
+        """Any ``QueryEngine.rank`` mode and operands; bad arguments raise
+        ``ValueError`` before any RPC, and k = 0 returns []."""
         import ray
 
-        _check_mode(mode)
-        check_k(k)
-
-        # CNF mode carries groups-of-terms; everything term-level below
-        # (df prepass, overrides) works on the flattened set
-        flat = (
-            [t for g in terms for t in g] if mode == CNF else list(terms)
-        )
-        # phase 1: global df per term (lexicon lookups only, cached)
-        missing = [t for t in set(flat) if t not in self._df_cache]
+        check_query(mode, k, msm)
+        # phase 1: global df of every scored term (lexicon lookups only,
+        # cached); CNF carries groups-of-terms, flattened here
+        flat = {t for g in terms for t in g} if mode == CNF else set(terms)
+        missing = [t for t in flat if t not in self._df_cache]
         if missing:
-            dfs_list = ray.get(
-                [a.term_dfs.remote(missing) for a in self.actors]
-            )
+            dfs_list = ray.get([a.term_dfs.remote(missing) for a in self.actors])
             for t in missing:
                 self._df_cache[t] = sum(d.get(t, 0) for d in dfs_list)
-        dfs = {
-            t: self._df_cache[t] for t in set(flat) if self._df_cache[t] > 0
-        }
-        # phase 2: per-shard top-k under the GLOBAL stats triple
-        results = ray.get(
-            [
-                a.search.remote(terms, k, mode, self.n_docs, self.d_avr, dfs)
-                for a in self.actors
-            ]
-        )
+        dfs = {t: self._df_cache[t] for t in flat if self._df_cache[t] > 0}
+        # phase 2: per-shard top-k under the GLOBAL stats
+        results = ray.get([a.search.remote(terms, k, mode, dfs, neg, msm) for a in self.actors])
         # merge: exact top-k of the candidate union under the same total
         # order the shards selected with (see module docstring)
         cands = [c for r in results for c in r]
-        return _total_topk(
-            [c[0] for c in cands], [c[1] for c in cands], k
-        )
+        return _total_topk([d for d, _ in cands], [s for _, s in cands], k)
 
-    def search(self, query: str, k: int = 10, mode: int = CONJUNCTIVE):
+    def search(self, query: str, k: int = 10, mode: int = CONJUNCTIVE, *,
+               neg_query: str = "", msm: int = 1):
         terms = parse_groups(query) if mode == CNF else parse_terms(query)
-        return self.search_terms(terms, k, mode)
+        neg = parse_terms(neg_query) if mode == ANDNOT else ()
+        return self.search_terms(terms, k, mode, neg=neg, msm=msm)

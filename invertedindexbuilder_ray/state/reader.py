@@ -9,12 +9,12 @@ only its list's three header varints (``compress.open_list``); the skip
 table is decoded on the cursor's first seek, so a cursor that only
 bulk-decodes (OR, MSM, CNF, ANDNOT, preloaded lists) never parses it.
 
-The cursor exposes both semantics:
-
-* ``next_geq(k)`` — the reference's DESTRUCTIVE cursor (quirk Q-C): it
-  consumes every posting it passes, including the one it returns.
-* ``seek_geq(k)`` — textbook non-consuming positioning (the catalog's
-  posting probes use it).
+A cursor is read in one of two ways: ``decode_all_remaining()`` decodes
+the rest of the list in one vectorized pass (every set-at-a-time kernel,
+and the catalog's posting probes, which ``searchsorted`` the result),
+and ``next_geq(k)`` is the reference's DESTRUCTIVE cursor (quirk Q-C),
+which consumes every posting it passes, including the one it returns;
+only the conformance AND walks it.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ from ..stages import compress
 from .manifest import IndexManifest
 from .reader_docs import DocTable
 
-EXHAUSTED = -1
-
 
 class PostingCursor:
     """Forward iterator over one term's compressed posting list."""
 
     __slots__ = (
         "meta", "max_doc_id", "df", "_blk", "_i",
-        "_docs", "_tfs", "curr_doc", "curr_freq", "term", "_preloaded",
+        "_docs", "_tfs", "curr_freq", "term", "_preloaded",
     )
 
     def __init__(self, buf: np.ndarray, *, max_doc_id: int, term: str = ""):
@@ -50,7 +48,6 @@ class PostingCursor:
         self._i = 0             # position within the decoded block
         self._docs = None
         self._tfs = None
-        self.curr_doc = EXHAUSTED   # doc at the cursor (seek semantics)
         self.curr_freq = 0
         self._preloaded = False
 
@@ -111,26 +108,11 @@ class PostingCursor:
         """Quirk Q-C: returns first remaining doc >= k and consumes it.
         Returns ``max_doc_id`` when exhausted (intended D2-free bound)."""
         if not self._position_geq(k):
-            self.curr_doc = self.max_doc_id
             return self.max_doc_id
         doc = int(self._docs[self._i])
         self.curr_freq = int(self._tfs[self._i])
-        self.curr_doc = doc
         self._i += 1
         return doc
-
-    # -- correct (non-consuming) API ---------------------------------------
-    def seek_geq(self, k: int) -> int:
-        """Position at the first remaining doc >= k without consuming it."""
-        if self.curr_doc != EXHAUSTED and self.curr_doc >= k and self._blk >= 0 and self._i < len(self._docs):
-            return self.curr_doc
-        if not self._position_geq(k):
-            self.curr_doc = self.max_doc_id
-            self.curr_freq = 0
-            return self.max_doc_id
-        self.curr_doc = int(self._docs[self._i])
-        self.curr_freq = int(self._tfs[self._i])
-        return self.curr_doc
 
     def decode_all_remaining(self) -> tuple[np.ndarray, np.ndarray]:
         """Bulk-decode from the current position to the end (vectorized OR path)."""
@@ -160,7 +142,7 @@ class SegmentedCursor:
     """
 
     __slots__ = ("reader", "term", "df", "max_doc_id",
-                 "entries", "_si", "_cur", "curr_doc", "curr_freq")
+                 "entries", "_si", "_cur", "curr_freq")
 
     def __init__(self, reader: "IndexReader", term: str, df: int, entries):
         self.reader = reader
@@ -170,7 +152,6 @@ class SegmentedCursor:
         self.max_doc_id = reader.max_doc_id
         self._si = 0
         self._cur = reader._open_segment(term, entries[0])
-        self.curr_doc = EXHAUSTED
         self.curr_freq = 0
 
     def _next_segment(self) -> bool:
@@ -184,23 +165,9 @@ class SegmentedCursor:
         while True:
             d = self._cur.next_geq(k)
             if d < self.max_doc_id:
-                self.curr_doc = d
                 self.curr_freq = self._cur.curr_freq
                 return d
             if not self._next_segment():
-                self.curr_doc = self.max_doc_id
-                return self.max_doc_id
-
-    def seek_geq(self, k: int) -> int:
-        while True:
-            d = self._cur.seek_geq(k)
-            if d < self.max_doc_id:
-                self.curr_doc = d
-                self.curr_freq = self._cur.curr_freq
-                return d
-            if not self._next_segment():
-                self.curr_doc = self.max_doc_id
-                self.curr_freq = 0
                 return self.max_doc_id
 
     def decode_all_remaining(self) -> tuple[np.ndarray, np.ndarray]:

@@ -198,8 +198,10 @@ def test_extend_index(ray_session, webpages_medium, tmp_path):
 
 
 def test_merge_decodes_segmented_inputs(ray_session, webpages_medium, tmp_path):
-    """Inputs whose hot terms were split into doc-range segments must decode
-    and re-merge byte-identically (segment stitching in build._partition_posting_rows)."""
+    """Inputs whose hot terms were split into doc-range segments decode and
+    re-merge byte-identically to a full build at the same
+    ``segment_max_postings``, which the merge inherits from its inputs;
+    inputs cut at different values are refused before any job."""
     root = tmp_path
     tbl = webpages_medium
     for name, sl in [("full", tbl), ("a", tbl.slice(0, 500)), ("b", tbl.slice(500))]:
@@ -207,26 +209,31 @@ def test_merge_decodes_segmented_inputs(ray_session, webpages_medium, tmp_path):
         d.mkdir()
         pq.write_table(sl, d / "w.parquet", row_group_size=100)
     full_idx, ia, ib = str(root / "if"), str(root / "ia"), str(root / "ib")
-    man_full = build_index(load_webpages(str(root / "full")), full_idx, num_partitions=4)
-    # force multi-segment hot terms in the INPUTS (tiny segment cap)
+    # force multi-segment hot terms (tiny segment cap)
+    man_full = build_index(load_webpages(str(root / "full")), full_idx, num_partitions=4,
+                           segment_max_postings=50)
     build_index(load_webpages(str(root / "a")), ia, num_partitions=4,
                 segment_max_postings=50)
     build_index(load_webpages(str(root / "b")), ib, num_partitions=4,
                 segment_max_postings=50)
-    import pyarrow.parquet as _pq
-    import os as _os
-    segs = []
-    for f in sorted(_os.listdir(_os.path.join(ia, "lexicon"))):
-        segs.extend(_pq.read_table(_os.path.join(ia, "lexicon", f))["seg"].to_pylist())
-    assert max(segs) >= 1  # inputs really are segmented
+    assert max(r["seg"] for r in _lexicon_rows(ia)) >= 1  # inputs really are segmented
     man_m = merge_indexes([ia, ib], str(root / "im"))
+    assert man_m.stats["segment_max_postings"] == 50
     assert man_m.stats["total_postings"] == man_full.stats["total_postings"]
     assert _blob_hashes(str(root / "im")) == _blob_hashes(full_idx)
+    assert _lexicon_rows(str(root / "im")) == _lexicon_rows(full_idx)
+
+    unsegmented = str(root / "iu")
+    build_index(load_webpages(str(root / "b")), unsegmented, num_partitions=4)
+    with pytest.raises(ValueError, match="segment_max_postings"):
+        merge_indexes([ia, unsegmented], str(root / "mixed"))
+    assert not os.path.exists(root / "mixed")
 
 
 def test_delete_docs_byte_identical(ray_session, tmp_path):
     """delete_docs == build_index over the filtered corpus, byte-for-byte
-    (postings blobs, lexicon rows, docs table, stats)."""
+    (postings blobs, lexicon rows, docs table, stats), also for a
+    segmented build, whose ``segment_max_postings`` the compaction keeps."""
     import pyarrow as pa
 
     from invertedindexbuilder_ray.pipelines.merge import delete_docs
@@ -276,6 +283,16 @@ def test_delete_docs_byte_identical(ray_session, tmp_path):
     # resume: a second call must skip every partition
     man2 = delete_docs(base, tomb, out)
     assert all(p.get("skipped") for p in man2.partitions.values())
+
+    seg_base, seg_out, seg_ref = (str(tmp_path / n) for n in ("sb", "sd", "sr"))
+    build_index(load_documents(src), seg_base, num_partitions=4, segment_max_postings=50)
+    assert max(r["seg"] for r in _lexicon_rows(seg_base)) >= 1
+    assert delete_docs(seg_base, tomb, seg_out).stats["segment_max_postings"] == 50
+    build_index(load_documents(src).map_batches(filt, batch_format="pyarrow"), seg_ref,
+                num_partitions=4, segment_max_postings=50)
+    assert _blob_hashes(seg_out) == _blob_hashes(seg_ref)
+    assert _lexicon_rows(seg_out) == _lexicon_rows(seg_ref)
+    assert _docs_rows(seg_out) == _docs_rows(seg_ref)
 
 
 def test_mark_deleted_query_time_tombstones(ray_session, tmp_path):

@@ -29,10 +29,25 @@ QUERIES = [
 ]
 
 
+def _planted(tbl):
+    """The corpus plus words that only some shards hold: ``solo0`` in shard
+    0, ``solo1`` in shard 1 and ``notin2`` in shards 0 and 1 (every term of
+    the generator's small vocabulary is in every shard)."""
+    import pyarrow as pa
+
+    text = []
+    for i, t in enumerate(tbl["text"].to_pylist()):
+        words = [w for w, hit in (("notin2", i < 700 and i % 3 == 0),
+                                  ("solo0", i < 400 and i % 4 == 0),
+                                  ("solo1", 400 <= i < 700 and i % 4 == 1)) if hit]
+        text.append(" ".join([*words, t]))
+    return tbl.set_column(tbl.schema.get_field_index("text"), "text", pa.array(text, pa.string()))
+
+
 @pytest.fixture(scope="module")
 def sharded_setup(ray_session, webpages_medium, tmp_path_factory):
     root = tmp_path_factory.mktemp("shards")
-    tbl = webpages_medium
+    tbl = _planted(webpages_medium)
     slices = [tbl.slice(0, 400), tbl.slice(400, 300), tbl.slice(700)]
     shard_dirs = []
     for i, sl in enumerate(slices):
@@ -97,6 +112,86 @@ def test_total_order_engine_same_members_as_heap(sharded_setup):
         assert sorted(round(s, 9) for _, s in a) == sorted(
             round(s, 9) for _, s in b
         ), q
+
+
+@pytest.fixture(scope="module")
+def mode_cases(sharded_setup, tmp_path_factory):
+    """Per-mode (terms, neg, msm) cases over the planted shard-local words,
+    plus a copy of the shards and of the full index where only shard 1
+    carries tombstones (the same docs, global ids in the full copy)."""
+    import shutil
+
+    from invertedindexbuilder_ray.pipelines.merge import mark_deleted
+    from invertedindexbuilder_ray.pipelines.query import ANDNOT, CNF, MSM
+    from invertedindexbuilder_ray.state.reader import IndexReader
+
+    shard_dirs, full = sharded_setup
+    rs = [IndexReader(d) for d in shard_dirs]
+    lex = [set(r.lexicon) for r in rs]
+    no2, only0, only1 = "notin2", "solo0", "solo1"
+    assert no2 in lex[0] & lex[1] and no2 not in lex[2]
+    assert only0 in lex[0] - lex[1] - lex[2] and only1 in lex[1] - lex[0] - lex[2]
+    cases = {
+        CONJUNCTIVE: [(q.split(), (), 1) for q in QUERIES] + [(["the", no2], (), 1)],
+        DISJUNCTIVE: [(q.split(), (), 1) for q in QUERIES] + [([no2, only1], (), 1)],
+        ANDNOT: [
+            (["the", no2], (), 1),              # positive term absent from shard 2
+            (["the", no2], ["data"], 1),
+            (["the"], [only1], 1),              # negative term in shard 1 only
+            (["data"], ["join", only1, "missingzzz"], 1),
+            (["the", "missingzzz"], ["of"], 1),
+        ],
+        CNF: [
+            ([["the", "data"], [no2, only1]], (), 1),
+            ([["data"], ["missingzzz"]], (), 1),
+            ([["the", "of"], ["a", "to"]], (), 1),
+        ],
+        MSM: [
+            # shard 2 holds only "the": every m >= 2 exceeds its list count
+            (["the", no2, only1, only0], (), m) for m in (1, 2, 3, 4)
+        ] + [(["the", "data", "join", "merge"], (), 2), (["data", "join"], (), 5)],
+    }
+    root = tmp_path_factory.mktemp("mode_tombs")
+    tomb_shards = list(shard_dirs)
+    tomb_shards[1] = str(root / "shard1")
+    tomb_full = str(root / "full")
+    shutil.copytree(shard_dirs[1], tomb_shards[1])
+    shutil.copytree(full, tomb_full)
+    off = rs[0].max_doc_id
+    local = list(range(0, rs[1].max_doc_id, 3))
+    mark_deleted(tomb_shards[1], local)
+    mark_deleted(tomb_full, [d + off for d in local])
+    return cases, [(shard_dirs, full), (tomb_shards, tomb_full)]
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("conformance", [False, True])
+def test_every_mode_is_exact_total_order_topk(mode_cases, mode, conformance):
+    """Every mode at every tier: the sharded result is the monolithic
+    total-order top-k, with and without tombstones in one shard.
+
+    One exception, kept visible: over EVERY match (k = 1000) the
+    conformance AND differs, because the reference walk's misses (quirk
+    Q-C) depend on cursor state carried across shard boundaries, which no
+    shard sees.  That combination is an expected failure, and fails for
+    real once the two agree."""
+    cases, setups = mode_cases
+    walk = conformance and mode == CONJUNCTIVE
+    walk_diverged = False
+    for shards, full in setups:
+        mono = QueryEngine(full, conformance=conformance, total_order_topk=True)
+        sharded = ShardedEngine(shards, conformance=conformance)
+        for terms, neg, msm in cases[mode]:
+            for k in (1, 10, 37, 1000):  # 1000: every match of the corpus
+                want = mono.rank(terms, k, mode, neg=neg, msm=msm)
+                got = sharded.search_terms(terms, k, mode, neg=neg, msm=msm)
+                if walk and k == 1000:
+                    walk_diverged |= got != want
+                else:
+                    assert got == want, (full, terms, neg, msm, k)
+    if walk:
+        assert walk_diverged, "the walk now distributes: make k = 1000 an exact check"
+        pytest.xfail("conformance AND over every match: the Q-C walk is not shard-local")
 
 
 def test_ref_heap_ties_are_not_distributable():
@@ -283,28 +378,29 @@ def test_sharded_cnf_matches_monolithic(sharded_setup):
 
 
 def test_unsupported_modes_raise(sharded_setup):
-    """An unknown mode, or one the sharded tier cannot serve (ANDNOT,
-    MSM), raises instead of silently running OR; `ShardedEngine`
-    raises before any RPC."""
+    """Every tier serves all five modes; an unknown mode, or m < 1 under
+    MSM, raises instead of silently running OR — ``ShardedEngine`` before
+    any RPC, through the same check as the monolithic engine."""
     import ray
 
     from invertedindexbuilder_ray.pipelines.query import ANDNOT, MSM
 
     shard_dirs, full = sharded_setup
     mono = QueryEngine(full)
-    for mode in (-1, 5, 99):
-        with pytest.raises(ValueError, match="mode"):
-            mono.search("data join", 10, mode)
     sharded = ShardedEngine(shard_dirs)
-    for mode in (ANDNOT, MSM, 5):
-        with pytest.raises(ValueError, match="mode"):
-            sharded.search_terms(["data", "join"], 10, mode)
-        with pytest.raises(ValueError, match="mode"):
-            sharded.search("data join", 10, mode)
-        with pytest.raises(ValueError, match="mode"):
-            ray.get(sharded.actors[0].search.remote(
-                ["data"], 10, mode, sharded.n_docs, sharded.d_avr, {}))
+    for mode, kw in ((-1, {}), (5, {}), (99, {}), (MSM, {"msm": 0}), (MSM, {"msm": -2})):
+        match = "m must be" if kw else "mode"
+        with pytest.raises(ValueError, match=match):
+            mono.search("data join", 10, mode, **kw)
+        with pytest.raises(ValueError, match=match):
+            sharded.search_terms(["data", "join"], 10, mode, **kw)
+        with pytest.raises(ValueError, match=match):
+            sharded.search("data join", 10, mode, **kw)
+        with pytest.raises(ValueError, match=match):
+            ray.get(sharded.actors[0].search.remote(["data"], 10, mode, {}, (), kw.get("msm", 1)))
     assert sharded._df_cache == {}  # the df prepass never ran
+    assert sharded.search("data", 5, ANDNOT, neg_query="join")
+    assert sharded.search("data join the", 5, MSM, msm=2)
 
 
 def test_algorithm_option_rejected(sharded_setup):

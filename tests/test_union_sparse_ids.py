@@ -2,7 +2,8 @@
 space: a documents-source index whose global doc_ids start above 2^21
 takes the ``np.unique`` branch instead of the dense ``bincount`` one.
 OR, CNF and MSM there must equal the oracle / brute-force BM25 reference
-and, bit for bit, a dense-id twin of the same texts."""
+and, bit for bit, a dense-id twin of the same texts, which takes both
+branches: the small ``dup`` union sorts too, the hot ones go dense."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ SF = "/root/testdata/sf0.001"
 BASE, STRIDE = 1 << 21, 1021  # sparse id = BASE + STRIDE * dense id
 
 TERMS = [
+    ["dup"],
     ["data"],
     ["data", "join"],
     ["join", "merge", "spark"],
@@ -88,12 +90,18 @@ def _check_reference(got, want):
 
 def test_sparse_ids_take_the_unique_branch(twins):
     """The fixture reaches the sort branch for every query below: the doc-id
-    space is wider than 16 postings per id plus 2^20."""
-    sparse, _, ora = twins
+    space is wider than 16 postings per id.  On the dense twin only the
+    ``dup`` union is that small."""
+    sparse, dense, ora = twins
     flat = {t for ts in TERMS for t in ts} | {t for g in GROUPS for ts in g for t in ts}
-    postings = sum(len(ora.postings.get(t, [])) for t in flat)
-    assert sparse.reader.max_doc_id > 16 * postings + (1 << 20)
+
+    def postings(terms):
+        return sum(len(ora.postings.get(t, [])) for t in terms)
+
+    assert sparse.reader.max_doc_id > 16 * postings(flat)
     assert sparse.reader.max_doc_id == ora.max_doc_id
+    assert [dense.reader.max_doc_id <= 16 * postings(ts) for ts in TERMS] == [
+        False, True, True, True, True, True]
 
 
 @pytest.mark.parametrize("k", [1, 10, 10_000])
